@@ -23,10 +23,10 @@ from powersums.faulhaber import (
 
 @dataclass
 class SweepBounds:
-    pascal_max: int = 50
-    faulhaber_max: int = 40
-    odd_bernoulli_max: int = 40
-    table_max: int = 200
+    pascal_max: int = 200
+    faulhaber_max: int = 200
+    odd_bernoulli_max: int = 200
+    table_max: int = 400
     telescoping_max_m: int = 10
     telescoping_max_n: int = 50
 

@@ -6,7 +6,7 @@ number T = n(n+1)/2), and mechanically verifies the identities that
 connect them -- including the vanishing of the odd Bernoulli numbers.
 """
 
-from .exact_arith import Rational, as_rational, binomial, rat_arith
+from .exact_arith import Rational, as_rational, binomial
 from .faulhaber import (
     BernoulliTable,
     FaulhaberForm,
@@ -24,12 +24,10 @@ from .faulhaber import (
 from .polynomial import (
     T_AS_N_POLY,
     Polynomial,
-    constant,
     monomial,
-    poly_arith,
-    poly_compose,
     poly_eval,
     poly_scale,
+    poly_shift,
     t_to_n,
 )
 
@@ -43,18 +41,15 @@ __all__ = [
     "as_rational",
     "bernoulli",
     "binomial",
-    "constant",
     "faulhaber_coefficients",
     "infer_odd_bernoulli",
     "monomial",
-    "poly_arith",
-    "poly_compose",
     "poly_eval",
     "poly_scale",
+    "poly_shift",
     "power_sum_direct",
     "power_sum_poly_n",
     "power_sum_tform",
-    "rat_arith",
     "t_to_n",
     "telescoping_check",
     "verify_faulhaber",

@@ -8,15 +8,20 @@ because the coefficients outgrow 64-bit range almost immediately.
 
 Exit codes: 0 on success with all verifications passing, 1 if any
 verification instance fails, 2 on usage or parse errors (which print a
-usage message to stderr and nothing to stdout).
+usage message to stderr and nothing to stdout).  The process entry point
+``main`` adds three more: 141 when stdout is closed early (a broken pipe,
+as in ``powersums ... | head -1``; no traceback), 130 on an interrupt,
+and 3 on any other uncaught error, whose traceback goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
+import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from typing import IO, Iterable
 
@@ -322,4 +327,20 @@ def run(argv: Iterable[str], stdout: IO[str] | None = None, stderr: IO[str] | No
 
 
 def main(argv: list[str] | None = None) -> None:
-    raise SystemExit(run(sys.argv[1:] if argv is None else argv))
+    """Process entry point: ``run`` on sys.argv, with exit codes for failures."""
+    try:
+        code = run(sys.argv[1:] if argv is None else argv)
+        # Flush inside the try, so that a closed pipe surfaces here.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at shutdown; point it at
+        # devnull so that flush cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 141
+    except KeyboardInterrupt:
+        code = 130
+    except Exception:
+        traceback.print_exc()
+        code = 3
+    raise SystemExit(code)

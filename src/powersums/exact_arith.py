@@ -15,17 +15,9 @@ everything here may be shared freely across threads.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 Rational = Fraction
-
-_RATIONAL_OPS = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "div": operator.truediv,
-}
 
 
 def as_rational(value: int | str | Rational) -> Rational:
@@ -38,19 +30,6 @@ def as_rational(value: int | str | Rational) -> Rational:
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float {value!r}; use Fraction or a string like '1/10'")
     return Fraction(value)
-
-
-def rat_arith(a: Rational, b: Rational, op: str) -> Rational:
-    """Apply one of add/sub/mul/div to two rationals, exactly.
-
-    Division by zero raises ZeroDivisionError.  Results are always in
-    lowest terms with a positive denominator (Fraction guarantees this).
-    """
-    try:
-        func = _RATIONAL_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown rational op {op!r}; expected one of {sorted(_RATIONAL_OPS)}") from None
-    return func(as_rational(a), as_rational(b))
 
 
 def binomial(n: int, k: int) -> int:

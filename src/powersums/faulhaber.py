@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .exact_arith import Rational, binomial
-from .polynomial import T_AS_N_POLY, Polynomial, monomial, poly_scale, t_to_n
+from .polynomial import T_AS_N_POLY, Polynomial, monomial, poly_scale, poly_shift, t_to_n
 
 
 class BernoulliTable:
@@ -126,9 +126,10 @@ class FaulhaberForm:
             raise ValueError(f"FaulhaberForm polynomial must be T-basis, got {self.p.var!r}")
         if self.p.degree != self.m - 1:
             raise AssertionError(f"deg p = {self.p.degree}, expected {self.m - 1} for m={self.m}")
-        if self.p.coeffs[-1] != Rational(2**self.m, self.m + 1):
-            raise AssertionError(f"leading coefficient {self.p.coeffs[-1]} != 2^{self.m}/{self.m + 1}")
-        if self.m >= 2 and self.p.coeffs[1] != -4 * self.p.coeffs[0]:
+        lead = self.p.coefficient(self.p.degree)
+        if lead != Rational(2**self.m, self.m + 1):
+            raise AssertionError(f"leading coefficient {lead} != 2^{self.m}/{self.m + 1}")
+        if self.m >= 2 and self.p.coefficient(1) != -4 * self.p.coefficient(0):
             raise AssertionError(f"tail relation c1 = -4*c0 broken for m={self.m}")
 
 
@@ -179,11 +180,6 @@ def telescoping_check(m: int, n: int) -> VerificationReport:
     )
 
 
-def _times_t_squared(p: Polynomial) -> Polynomial:
-    """p * T^2 by coefficient shift (cheaper and clearer than a general multiply)."""
-    return Polynomial((Rational(0), Rational(0)) + p.coeffs, "T")
-
-
 @cache
 def power_sum_tform(m: int) -> FaulhaberForm:
     """Build P with S_{2m+1}(n) = P(T) * T^2, by ladder elimination.
@@ -203,11 +199,11 @@ def power_sum_tform(m: int) -> FaulhaberForm:
     remainder = monomial(2 ** (order - 1), order, "T")
     for j in _ladder_indices(order)[:-1]:
         lower = power_sum_tform((m + j) // 2)
-        remainder = remainder - binomial(order, j) * _times_t_squared(lower.p)
+        remainder = remainder - binomial(order, j) * poly_shift(lower.p, 2)
     remainder = poly_scale(Rational(1, order), remainder)
-    if remainder.degree < 2 or remainder.coeffs[0] != 0 or remainder.coeffs[1] != 0:
+    if remainder.degree < 2 or remainder.coefficient(0) != 0 or remainder.coefficient(1) != 0:
         raise AssertionError(f"ladder remainder for m={m} is not divisible by T^2: {remainder}")
-    return FaulhaberForm(m, Polynomial(remainder.coeffs[2:], "T"))
+    return FaulhaberForm(m, poly_shift(remainder, -2))
 
 
 def faulhaber_coefficients(m: int) -> list[Rational]:
@@ -218,7 +214,7 @@ def faulhaber_coefficients(m: int) -> list[Rational]:
 def verify_faulhaber(m: int) -> VerificationReport:
     """Cross-check the T-route against the Bernoulli route for S_{2m+1}."""
     form = power_sum_tform(m)
-    lhs = t_to_n(_times_t_squared(form.p))
+    lhs = t_to_n(poly_shift(form.p, 2))
     rhs = power_sum_poly_n(2 * m + 1)
     return VerificationReport(f"faulhaber m={m}", lhs, rhs)
 
@@ -232,5 +228,5 @@ def infer_odd_bernoulli(m: int) -> Rational:
     coefficient found on the T-route therefore *is* B_{2m+1}.
     """
     form = power_sum_tform(m)
-    expanded = t_to_n(_times_t_squared(form.p))
+    expanded = t_to_n(poly_shift(form.p, 2))
     return -expanded.coefficient(1)

@@ -29,18 +29,46 @@ def cli():
     return invoke
 
 
+def _subprocess_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 @pytest.fixture
 def cli_subprocess():
     """Invoke the CLI as a cold subprocess; returns CompletedProcess."""
 
     def invoke(*args: str):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.run(
             [sys.executable, "-m", "powersums", *args],
             capture_output=True,
             text=True,
-            env=env,
+            env=_subprocess_env(),
         )
 
     return invoke
+
+
+@pytest.fixture
+def cli_popen():
+    """Start the CLI as a subprocess with piped stdout and stderr; returns the Popen."""
+    started = []
+
+    def start(*args: str):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "powersums", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_subprocess_env(),
+        )
+        started.append(proc)
+        return proc
+
+    yield start
+    for proc in started:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        for stream in (proc.stdout, proc.stderr):
+            stream.close()

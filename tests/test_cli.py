@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 import powersums.cli
 from powersums.faulhaber import (
     VerificationReport,
@@ -167,6 +169,21 @@ class TestExitCodes:
         assert out.endswith("agree\tfalse\n")
 
 
+    @pytest.mark.parametrize("error, expected", [(RuntimeError("boom"), 3), (KeyboardInterrupt(), 130)])
+    def test_uncaught_errors_get_their_own_exit_codes(self, monkeypatch, capsys, error, expected):
+        def handler(args, out):
+            raise error
+
+        monkeypatch.setitem(powersums.cli._HANDLERS, "eval", handler)
+        with pytest.raises(type(error)):
+            powersums.cli.run(["eval", "3", "4"])  # in-process callers see the exception
+        with pytest.raises(SystemExit) as exit_info:
+            powersums.cli.main(["eval", "3", "4"])
+        assert exit_info.value.code == expected
+        err = capsys.readouterr().err
+        assert ("RuntimeError: boom" in err) == (expected == 3)
+
+
 class TestJson:
     def test_bernoulli_round_trip(self, cli):
         code, out, _ = cli("bernoulli", "6", "--format", "json")
@@ -237,3 +254,14 @@ class TestSubprocess:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr != ""
+
+    def test_closed_pipe_exits_141_without_traceback(self, cli_popen):
+        # About 108 KB of output, more than a pipe buffers, so the CLI is
+        # still writing when the reader goes away, as with `| head -1`.
+        proc = cli_popen("verify", "telescoping", "--max-m", "20", "--max-n", "200")
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert first == b"PASS telescoping m=1 N=1\n"
+        assert err == b""

@@ -1,7 +1,11 @@
-"""Dense rational polynomial algebra and the T -> n substitution."""
+"""Polynomial algebra over exact rationals and the T -> n substitution."""
 
+import copy
+import math
+import pickle
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given
@@ -10,12 +14,10 @@ from hypothesis import strategies as st
 from powersums.polynomial import (
     T_AS_N_POLY,
     Polynomial,
-    constant,
     monomial,
-    poly_arith,
-    poly_compose,
     poly_eval,
     poly_scale,
+    poly_shift,
     t_to_n,
 )
 
@@ -61,26 +63,24 @@ class TestRepresentation:
 class TestArithmetic:
     def test_t_times_t(self):
         t = monomial(1, 1, "T")
-        assert poly_arith(t, t, "mul") == monomial(1, 2, "T")
+        assert t * t == monomial(1, 2, "T")
 
     def test_additive_identity(self):
         p = Polynomial((3, 0, 7), "n")
-        assert poly_arith(p, Polynomial((), "n"), "add") == p
+        assert p + Polynomial((), "n") == p
 
     def test_n_times_n_plus_one(self):
         n = monomial(1, 1, "n")
         n_plus_1 = Polynomial((1, 1), "n")
-        assert poly_arith(n, n_plus_1, "mul") == Polynomial((0, 1, 1), "n")
+        assert n * n_plus_1 == Polynomial((0, 1, 1), "n")
 
     def test_mixed_tags_are_a_domain_error(self):
         with pytest.raises(ValueError):
-            poly_arith(Polynomial((1,), "n"), Polynomial((1,), "T"), "add")
+            Polynomial((1,), "n") + Polynomial((1,), "T")
+        with pytest.raises(ValueError):
+            Polynomial((1,), "n") - Polynomial((1,), "T")
         with pytest.raises(ValueError):
             Polynomial((1, 1), "n") * Polynomial((1, 1), "T")
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError):
-            poly_arith(Polynomial((1,), "n"), Polynomial((1,), "n"), "div")
 
     def test_mul_degree_law(self):
         a = Polynomial((1, 2, 3), "n")
@@ -137,31 +137,22 @@ class TestEval:
 
 
 class TestCompose:
-    def test_square_of_arbitrary(self):
-        q = Polynomial((1, 2, 1), "n")
-        square = Polynomial((0, 0, 1), "T")
-        assert poly_compose(square, q) == q * q
-
-    def test_identity_monomial(self):
-        p = Polynomial((5, 0, Fraction(2, 3)), "n")
-        assert poly_compose(p, monomial(1, 1, "n")) == p
+    """t_to_n is composition with the inner polynomial T_AS_N_POLY."""
 
     def test_t_squared_under_substitution(self):
-        expected = Polynomial((0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)), "n")
-        assert poly_compose(monomial(1, 2, "T"), T_AS_N_POLY) == expected
+        for k in range(7):
+            assert t_to_n(monomial(1, k, "T")) == T_AS_N_POLY**k
 
     def test_result_carries_inner_tag(self):
-        p = Polynomial((1, 1), "T")
-        assert poly_compose(p, Polynomial((0, 1), "n")).var == "n"
+        assert t_to_n(Polynomial((1, 1), "T")).var == T_AS_N_POLY.var == "n"
 
-    @given(polys("T", 4), polys("n", 3), small_rationals)
-    def test_compose_eval_compatibility(self, p, q, x):
-        assert poly_eval(poly_compose(p, q), x) == poly_eval(p, poly_eval(q, x))
+    @given(polys("T", 4), small_rationals)
+    def test_compose_eval_compatibility(self, p, x):
+        assert poly_eval(t_to_n(p), x) == poly_eval(p, poly_eval(T_AS_N_POLY, x))
 
     def test_degree_multiplies(self):
         p = Polynomial((1, 0, 0, 2), "T")
-        q = Polynomial((3, 1, 1), "n")
-        assert poly_compose(p, q).degree == p.degree * q.degree
+        assert t_to_n(p).degree == p.degree * T_AS_N_POLY.degree
 
 
 class TestTtoN:
@@ -223,3 +214,129 @@ class TestRendering:
     )
     def test_display_grammar(self, poly, text):
         assert str(poly) == text
+
+
+class TestShift:
+    def test_multiply_by_t_squared(self):
+        p = Polynomial((Fraction(-1, 3), Fraction(4, 3)), "T")
+        assert poly_shift(p, 2) == monomial(1, 2, "T") * p
+
+    def test_exact_division_round_trips(self):
+        p = Polynomial((5, 0, Fraction(2, 7)), "n")
+        assert poly_shift(poly_shift(p, 3), -3) == p
+
+    def test_zero_polynomial(self):
+        assert poly_shift(Polynomial((), "T"), 2) == Polynomial((), "T")
+        assert poly_shift(Polynomial((), "T"), -2) == Polynomial((), "T")
+
+    def test_inexact_division_is_a_domain_error(self):
+        with pytest.raises(ValueError):
+            poly_shift(Polynomial((0, 1, 1), "T"), -2)
+
+
+# Reference arithmetic on plain ascending tuples of Fractions, the
+# representation Polynomial used to store; results are trimmed the same way.
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    return ref_trim(x + y for x, y in zip_longest(a, b, fillvalue=Fraction(0)))
+
+
+def ref_mul(a, b):
+    prod = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return ref_trim(prod)
+
+
+def ref_pow(a, k):
+    result = (Fraction(1),)
+    for _ in range(k):
+        result = ref_mul(result, a)
+    return result
+
+
+def ref_eval(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def ref_t_to_n(a):
+    result = ()
+    for c in reversed(a):
+        result = ref_add(ref_mul(result, (Fraction(0), Fraction(1, 2), Fraction(1, 2))), (c,))
+    return result
+
+
+wide_rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=720)
+coeff_lists = st.lists(st.one_of(small_rationals, wide_rationals), max_size=7)
+
+
+class TestAgainstFractionReference:
+    @given(coeff_lists, coeff_lists, wide_rationals, st.integers(0, 4))
+    def test_operations_match(self, a, b, c, k):
+        p, q = Polynomial(a, "T"), Polynomial(b, "T")
+        a, b = ref_trim(a), ref_trim(b)
+        assert p.coeffs == a
+        assert (p + q).coeffs == ref_add(a, b)
+        assert (p - q).coeffs == ref_add(a, tuple(-y for y in b))
+        assert (-p).coeffs == tuple(-x for x in a)
+        assert (p * q).coeffs == ref_mul(a, b)
+        assert (p**k).coeffs == ref_pow(a, k)
+        assert poly_scale(c, p).coeffs == ref_trim(c * x for x in a)
+        assert poly_eval(p, c) == ref_eval(a, c)
+        assert t_to_n(p).coeffs == ref_t_to_n(a)
+        for i in range(len(a) + 2):
+            assert p.coefficient(i) == (a[i] if i < len(a) else 0)
+
+
+def assert_canonical(p: Polynomial) -> None:
+    nums, den = p._nums, p._den
+    assert type(nums) is tuple and all(type(c) is int for c in nums)
+    assert type(den) is int and den > 0
+    assert math.gcd(den, *nums) == 1
+    assert not nums or nums[-1] != 0
+
+
+class TestCanonicalForm:
+    def test_zero_polynomial_layout(self):
+        for zero in (Polynomial((), "n"), Polynomial((0, Fraction(0, 5)), "n"),
+                     poly_scale(0, T_AS_N_POLY), T_AS_N_POLY - T_AS_N_POLY):
+            assert (zero._nums, zero._den) == ((), 1)
+
+    @given(coeff_lists, coeff_lists, wide_rationals, st.integers(0, 3))
+    def test_every_result_is_canonical(self, a, b, c, k):
+        p, q = Polynomial(a, "T"), Polynomial(b, "T")
+        results = [p, q, p + q, p - q, -p, p * q, p**k, poly_scale(c, p), t_to_n(p),
+                   poly_shift(p, 2), poly_shift(poly_shift(p, 2), -2)]
+        for r in results:
+            assert_canonical(r)
+
+    @given(coeff_lists, coeff_lists, wide_rationals)
+    def test_equal_polynomials_have_equal_hashes(self, a, b, c):
+        p, q = Polynomial(a, "T"), Polynomial(b, "T")
+        rebuilt = [(p + q) - q, Polynomial(p.coeffs, "T"), Polynomial(map(str, p.coeffs), "T"),
+                   -(-p), poly_shift(poly_shift(p, 1), -1)]
+        if c != 0:
+            rebuilt.append(poly_scale(1 / c, poly_scale(c, p)))
+        for r in rebuilt:
+            assert r == p
+            assert hash(r) == hash(p)
+
+    def test_immutable_and_copyable(self):
+        p = Polynomial((1, Fraction(2, 3)), "n")
+        with pytest.raises(AttributeError):
+            p.var = "T"
+        with pytest.raises(AttributeError):
+            del p.var
+        assert p.coeffs is p.coeffs
+        assert copy.deepcopy(p) == p
+        assert pickle.loads(pickle.dumps(p)) == p
