@@ -27,20 +27,19 @@ from typing import IO, Iterable
 
 from .exact_arith import Rational
 from .faulhaber import (
+    SUITES,
     FaulhaberForm,
     bernoulli,
     faulhaber_coefficients,
-    infer_odd_bernoulli,
     power_sum_direct,
     power_sum_poly_n,
     power_sum_tform,
-    telescoping_check,
-    verify_faulhaber,
-    verify_pascal_identity,
 )
 from .polynomial import Polynomial, poly_eval
 
 _DECIMAL_INT = re.compile(r"[0-9]+")
+# Every bound option of ``verify``, as argparse dests: max, max_m, max_n.
+_BOUNDS = tuple(dict.fromkeys(key for suite in SUITES.values() for key in suite.defaults))
 
 
 def _uint(minimum: int):
@@ -106,13 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs.add_argument("index", type=_uint(1), metavar="M", help="form index, M >= 1")
 
     p_verify = add("verify", "run an identity suite and print one PASS/FAIL line per instance")
-    p_verify.add_argument("suite", choices=("pascal", "faulhaber", "odd-bernoulli", "telescoping"))
+    pascal, telescoping = SUITES["pascal"], SUITES["telescoping"]
+    p_verify.add_argument("suite", choices=tuple(SUITES))
     p_verify.add_argument("--max", type=_uint(1), default=None, metavar="M",
-                          help="largest index m (default 40; pascal starts at m=2)")
+                          help=f"largest index m (default {pascal.defaults['max']}; "
+                               f"pascal starts at m={pascal.first})")
     p_verify.add_argument("--max-m", type=_uint(1), default=None, metavar="M",
-                          help="telescoping only: largest exponent m (default 10)")
+                          help=f"telescoping only: largest exponent m (default {telescoping.defaults['max_m']})")
     p_verify.add_argument("--max-n", type=_uint(1), default=None, metavar="N",
-                          help="telescoping only: largest upper limit N (default 50)")
+                          help=f"telescoping only: largest upper limit N (default {telescoping.defaults['max_n']})")
 
     p_eval = add("eval", "evaluate S_M at N both symbolically and by direct summation")
     p_eval.add_argument("exponent", type=_uint(1), metavar="M", help="exponent, M >= 1")
@@ -127,14 +128,22 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         if args.exponent < 3 or args.exponent % 2 == 0:
             parser.error("--basis t requires an odd exponent M >= 3")
     if args.command == "verify":
-        if args.suite == "telescoping":
-            if args.max is not None:
-                parser.error("suite 'telescoping' takes --max-m/--max-n, not --max")
-        else:
-            if args.max_m is not None or args.max_n is not None:
-                parser.error(f"suite {args.suite!r} takes --max, not --max-m/--max-n")
-            if args.suite == "pascal" and args.max is not None and args.max < 2:
-                parser.error("suite 'pascal' requires --max >= 2")
+        args.bounds = _suite_bounds(parser, args)
+
+
+def _suite_bounds(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict[str, int]:
+    """The suite's bounds from the registry, options over defaults; a misfit option exits 2."""
+    suite, given = SUITES[args.suite], vars(args)
+
+    def flags(keys: Iterable[str]) -> str:
+        return "/".join("--" + key.replace("_", "-") for key in keys)
+
+    foreign = [key for key in _BOUNDS if key not in suite.defaults]
+    if any(given[key] is not None for key in foreign):
+        parser.error(f"suite {args.suite!r} takes {flags(suite.defaults)}, not {flags(foreign)}")
+    if args.max is not None and args.max < suite.first:
+        parser.error(f"suite {args.suite!r} requires --max >= {suite.first}")
+    return {key: default if given[key] is None else given[key] for key, default in suite.defaults.items()}
 
 
 def _cmd_bernoulli(args: argparse.Namespace, out: IO[str]) -> int:
@@ -225,35 +234,8 @@ def _cmd_coeffs(args: argparse.Namespace, out: IO[str]) -> int:
     return 0
 
 
-def _verify_instances(args: argparse.Namespace) -> tuple[dict, list[tuple[str, bool]]]:
-    """Run the requested suite; returns (bounds-for-json, [(label, ok), ...])."""
-    if args.suite == "pascal":
-        top = 40 if args.max is None else args.max
-        results = [(r.label, r.holds) for r in (verify_pascal_identity(m) for m in range(2, top + 1))]
-        return {"max": top}, results
-    if args.suite == "faulhaber":
-        top = 40 if args.max is None else args.max
-        results = [(r.label, r.holds) for r in (verify_faulhaber(m) for m in range(1, top + 1))]
-        return {"max": top}, results
-    if args.suite == "odd-bernoulli":
-        top = 40 if args.max is None else args.max
-        results = []
-        for m in range(1, top + 1):
-            inferred = infer_odd_bernoulli(m)
-            ok = inferred == 0 and bernoulli(2 * m + 1) == 0
-            results.append((f"odd-bernoulli m={m}", ok))
-        return {"max": top}, results
-    top_m = 10 if args.max_m is None else args.max_m
-    top_n = 50 if args.max_n is None else args.max_n
-    results = [
-        (r.label, r.holds)
-        for r in (telescoping_check(m, n) for m in range(1, top_m + 1) for n in range(1, top_n + 1))
-    ]
-    return {"max_m": top_m, "max_n": top_n}, results
-
-
 def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
-    bounds, results = _verify_instances(args)
+    results = list(SUITES[args.suite].sweep(*args.bounds.values()))
     passed = sum(1 for _, ok in results if ok)
     total = len(results)
     if args.format == "json":
@@ -261,7 +243,7 @@ def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
             {
                 "command": "verify",
                 "suite": args.suite,
-                **bounds,
+                **args.bounds,
                 "results": [{"label": label, "holds": ok} for label, ok in results],
                 "passed": passed,
                 "total": total,

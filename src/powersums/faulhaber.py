@@ -30,6 +30,12 @@ expanding P(T) * T^2 in n produces no linear term, yet the Bernoulli
 form says the linear coefficient is -B_{2m+1}.  ``infer_odd_bernoulli``
 performs exactly that extraction.
 
+``SUITES`` is the one registry of verification suites: for each of
+pascal, faulhaber, odd-bernoulli and telescoping it holds the default
+bounds, the lowest allowed index and the sweep that yields one
+``(label, ok)`` pair per instance.  The CLI's ``verify`` command and
+``scripts/run_verification.py`` both run suites from it.
+
 All operations are deterministic and observationally pure.  The shared
 Bernoulli table and the memoized T-forms only ever grow, under a lock,
 so concurrent callers always observe consistent values.
@@ -40,9 +46,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import cache
+from typing import Callable, Iterator
 
 from .exact_arith import Rational, binomial
-from .polynomial import T_AS_N_POLY, Polynomial, monomial, poly_scale, poly_shift, t_to_n
+from .polynomial import Polynomial, monomial, poly_scale, poly_shift, t_to_n
 
 
 class BernoulliTable:
@@ -156,7 +163,7 @@ def verify_pascal_identity(m: int) -> VerificationReport:
     """Check 2^(m-1) * T^m = sum_j C(m, j) * S_{m+j}(n) symbolically in n."""
     if m < 2:
         raise ValueError(f"verify_pascal_identity requires m >= 2, got {m}")
-    lhs = 2 ** (m - 1) * T_AS_N_POLY**m
+    lhs = t_to_n(monomial(2 ** (m - 1), m, "T"))
     rhs = Polynomial((), "n")
     for j in _ladder_indices(m):
         rhs = rhs + binomial(m, j) * power_sum_poly_n(m + j)
@@ -230,3 +237,49 @@ def infer_odd_bernoulli(m: int) -> Rational:
     form = power_sum_tform(m)
     expanded = t_to_n(poly_shift(form.p, 2))
     return -expanded.coefficient(1)
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One verification suite of the registry.
+
+    ``defaults`` maps each bound (``max``, or ``max_m`` and ``max_n``) to
+    its default, in the order ``sweep`` takes them; ``first`` is the
+    lowest allowed index m.  ``sweep(*bounds)`` yields one ``(label, ok)``
+    pair per instance.
+    """
+
+    defaults: dict[str, int]
+    first: int
+    sweep: Callable[..., Iterator[tuple[str, bool]]]
+
+
+def _outcome(report: VerificationReport) -> tuple[str, bool]:
+    return report.label, report.holds
+
+
+# The sweeps look the checks up as module globals at call time, so a
+# patched or wrapped ``verify_faulhaber`` (say) is the one that runs.
+SUITES: dict[str, Suite] = {
+    "pascal": Suite(
+        {"max": 40}, 2, lambda top: (_outcome(verify_pascal_identity(m)) for m in range(2, top + 1))
+    ),
+    "faulhaber": Suite(
+        {"max": 40}, 1, lambda top: (_outcome(verify_faulhaber(m)) for m in range(1, top + 1))
+    ),
+    "odd-bernoulli": Suite(
+        {"max": 40},
+        1,
+        lambda top: (
+            (f"odd-bernoulli m={m}", infer_odd_bernoulli(m) == 0 and bernoulli(2 * m + 1) == 0)
+            for m in range(1, top + 1)
+        ),
+    ),
+    "telescoping": Suite(
+        {"max_m": 10, "max_n": 50},
+        1,
+        lambda top_m, top_n: (
+            _outcome(telescoping_check(m, n)) for m in range(1, top_m + 1) for n in range(1, top_n + 1)
+        ),
+    ),
+}

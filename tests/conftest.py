@@ -15,6 +15,7 @@ settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+SCRIPTS_DIR = SRC_DIR.parent / "scripts"
 
 
 @pytest.fixture
@@ -45,6 +46,22 @@ def cli_subprocess():
             capture_output=True,
             text=True,
             env=_subprocess_env(),
+        )
+
+    return invoke
+
+
+@pytest.fixture
+def script_subprocess():
+    """Run a file of scripts/ as a cold subprocess; returns CompletedProcess."""
+
+    def invoke(name: str, *args: str):
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS_DIR / name), *args],
+            capture_output=True,
+            text=True,
+            env=_subprocess_env(),
+            timeout=300,
         )
 
     return invoke

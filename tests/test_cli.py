@@ -153,7 +153,7 @@ class TestExitCodes:
         def broken(m):
             return VerificationReport(f"faulhaber m={m}", Polynomial((1,), "n"), Polynomial((2,), "n"))
 
-        monkeypatch.setattr(powersums.cli, "verify_faulhaber", broken)
+        monkeypatch.setattr(powersums.faulhaber, "verify_faulhaber", broken)
         code, out, _ = cli("verify", "faulhaber", "--max", "2")
         assert code == 1
         assert out == (
