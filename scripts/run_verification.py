@@ -22,6 +22,15 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=50, help="telescoping: largest upper limit N")
     parser.add_argument("--table-max", type=int, default=400, help="largest Bernoulli index rechecked")
     bounds = vars(parser.parse_args())
+    # A bound below the lowest index of a suite that takes it would sweep
+    # nothing and still report a pass.
+    floors = {"table_max": 1}
+    for suite in SUITES.values():
+        for key in suite.defaults:
+            floors[key] = max(floors.get(key, 0), suite.first)
+    for key, floor in floors.items():
+        if bounds[key] < floor:
+            parser.error(f"--{key.replace('_', '-')} must be at least {floor}, got {bounds[key]}")
     all_ok = True
 
     def report(name: str, ok: bool, count: int, start: float) -> None:

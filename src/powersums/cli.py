@@ -1,10 +1,13 @@
 """Command-line front-end: computation and verification as subcommands.
 
-Output is deterministic byte-for-byte.  Text tables are tab-separated;
-polynomials use the display grammar of the polynomial module.  With
-``--format json`` every rational is emitted as a two-field record of
-decimal strings (``{"num": ..., "den": ...}``) -- never as a float,
-because the coefficients outgrow 64-bit range almost immediately.
+Each command handler computes once and returns its result: an exit code,
+a JSON payload holding the exact ``Fraction`` and ``Polynomial`` values,
+and the text lines.  ``run`` is the only writer and renders that result
+as text or as JSON.  Output is deterministic byte-for-byte.  Text tables
+are tab-separated; polynomials use the display grammar of the polynomial
+module.  With ``--format json`` every rational is emitted as a two-field
+record of decimal strings (``{"num": ..., "den": ...}``) -- never as a
+float, because the coefficients outgrow 64-bit range almost immediately.
 
 Exit codes: 0 on success with all verifications passing, 1 if any
 verification instance fails, 2 on usage or parse errors (which print a
@@ -23,12 +26,11 @@ import re
 import sys
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
-from typing import IO, Iterable
+from typing import IO, Any, Iterable
 
 from .exact_arith import Rational
 from .faulhaber import (
     SUITES,
-    FaulhaberForm,
     bernoulli,
     faulhaber_coefficients,
     power_sum_direct,
@@ -40,6 +42,9 @@ from .polynomial import Polynomial, poly_eval
 _DECIMAL_INT = re.compile(r"[0-9]+")
 # Every bound option of ``verify``, as argparse dests: max, max_m, max_n.
 _BOUNDS = tuple(dict.fromkeys(key for suite in SUITES.values() for key in suite.defaults))
+# A command's result: exit code, JSON payload (without "command") and text
+# lines.  Costly lines are generators, so JSON output never formats them.
+_Result = tuple[int, dict[str, Any], Iterable[str]]
 
 
 def _uint(minimum: int):
@@ -56,21 +61,14 @@ def _uint(minimum: int):
     return parse
 
 
-def _rational_json(q: Rational) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
-
-
-def _polynomial_json(p: Polynomial) -> dict:
-    # Coefficients ascending by degree, matching the in-memory layout.
-    return {"var": p.var, "coefficients": [_rational_json(c) for c in p.coeffs]}
-
-
-def _emit_json(payload: dict, out: IO[str]) -> None:
-    print(json.dumps(payload, indent=2), file=out)
-
-
-def _factored_tform_text(form: FaulhaberForm) -> str:
-    return f"({form.p}) * T^2"
+def _json_value(value: object) -> dict:
+    """``json.dumps`` hook: the one JSON encoding of rationals and polynomials."""
+    if isinstance(value, Polynomial):
+        # Coefficients ascending by degree, matching the in-memory layout.
+        return {"var": value.var, "coefficients": value.coeffs}
+    if isinstance(value, Rational):
+        return {"num": str(value.numerator), "den": str(value.denominator)}
+    raise TypeError(f"no JSON encoding for {type(value).__name__}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,139 +144,59 @@ def _suite_bounds(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     return {key: default if given[key] is None else given[key] for key, default in suite.defaults.items()}
 
 
-def _cmd_bernoulli(args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_bernoulli(args: argparse.Namespace) -> _Result:
     values = [bernoulli(i) for i in range(args.k + 1)]
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "bernoulli",
-                "max_index": args.k,
-                "values": [
-                    {"index": i, "value": _rational_json(v)} for i, v in enumerate(values)
-                ],
-            },
-            out,
-        )
-    else:
-        for i, v in enumerate(values):
-            print(f"{i}\t{v}", file=out)
-    return 0
+    payload = {"max_index": args.k, "values": [{"index": i, "value": v} for i, v in enumerate(values)]}
+    return 0, payload, (f"{i}\t{v}" for i, v in enumerate(values))
 
 
-def _cmd_powersum(args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_powersum(args: argparse.Namespace) -> _Result:
     if args.basis == "n":
         poly = power_sum_poly_n(args.exponent)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "command": "powersum",
-                    "exponent": args.exponent,
-                    "basis": "n",
-                    "polynomial": _polynomial_json(poly),
-                },
-                out,
-            )
-        else:
-            print(poly, file=out)
-        return 0
+        return 0, {"exponent": args.exponent, "basis": "n", "polynomial": poly}, (str(p) for p in [poly])
     form = power_sum_tform((args.exponent - 1) // 2)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "powersum",
-                "exponent": args.exponent,
-                "basis": "t",
-                "index": form.m,
-                "p": _polynomial_json(form.p),
-                "t_power": 2,
-            },
-            out,
-        )
-    else:
-        print(_factored_tform_text(form), file=out)
-    return 0
+    payload = {"exponent": args.exponent, "basis": "t", "index": form.m, "p": form.p, "t_power": 2}
+    return 0, payload, (f"({p}) * T^2" for p in [form.p])
 
 
-def _cmd_tform(args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_tform(args: argparse.Namespace) -> _Result:
     form = power_sum_tform(args.index)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "tform",
-                "index": form.m,
-                "exponent": 2 * form.m + 1,
-                "p": _polynomial_json(form.p),
-                "t_power": 2,
-            },
-            out,
-        )
-    else:
-        print(_factored_tform_text(form), file=out)
-    return 0
+    payload = {"index": form.m, "exponent": 2 * form.m + 1, "p": form.p, "t_power": 2}
+    return 0, payload, (f"({p}) * T^2" for p in [form.p])
 
 
-def _cmd_coeffs(args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_coeffs(args: argparse.Namespace) -> _Result:
     coeffs = faulhaber_coefficients(args.index)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "coeffs",
-                "index": args.index,
-                "order": "descending",
-                "coefficients": [_rational_json(c) for c in coeffs],
-            },
-            out,
-        )
-    else:
-        print(" ".join(str(c) for c in coeffs), file=out)
-    return 0
+    payload = {"index": args.index, "order": "descending", "coefficients": coeffs}
+    return 0, payload, (" ".join(map(str, cs)) for cs in [coeffs])
 
 
-def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Result:
     results = list(SUITES[args.suite].sweep(*args.bounds.values()))
     passed = sum(1 for _, ok in results if ok)
     total = len(results)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "verify",
-                "suite": args.suite,
-                **args.bounds,
-                "results": [{"label": label, "holds": ok} for label, ok in results],
-                "passed": passed,
-                "total": total,
-                "all_pass": passed == total,
-            },
-            out,
-        )
-    else:
-        for label, ok in results:
-            print(f"{'PASS' if ok else 'FAIL'} {label}", file=out)
-        print(f"{args.suite}: {passed}/{total} passed", file=out)
-    return 0 if passed == total else 1
+    payload = {
+        "suite": args.suite,
+        **args.bounds,
+        "results": [{"label": label, "holds": ok} for label, ok in results],
+        "passed": passed,
+        "total": total,
+        "all_pass": passed == total,
+    }
+    lines = [f"{'PASS' if ok else 'FAIL'} {label}" for label, ok in results]
+    lines.append(f"{args.suite}: {passed}/{total} passed")
+    return 0 if passed == total else 1, payload, lines
 
 
-def _cmd_eval(args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_eval(args: argparse.Namespace) -> _Result:
     symbolic = poly_eval(power_sum_poly_n(args.exponent), args.n)
     direct = power_sum_direct(args.exponent, args.n)
     agree = symbolic == direct
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "eval",
-                "exponent": args.exponent,
-                "n": args.n,
-                "polynomial": _rational_json(symbolic),
-                "direct": _rational_json(Rational(direct)),
-                "agree": agree,
-            },
-            out,
-        )
-    else:
-        print(f"polynomial\t{symbolic}", file=out)
-        print(f"direct\t{direct}", file=out)
-        print(f"agree\t{'true' if agree else 'false'}", file=out)
-    return 0 if agree else 1
+    # Rational(direct) keeps "direct" a {"num", "den"} record, not a bare JSON int.
+    payload = {"exponent": args.exponent, "n": args.n, "polynomial": symbolic, "direct": Rational(direct),
+               "agree": agree}
+    lines = [f"polynomial\t{symbolic}", f"direct\t{direct}", f"agree\t{'true' if agree else 'false'}"]
+    return 0 if agree else 1, payload, lines
 
 
 _HANDLERS = {
@@ -292,7 +210,7 @@ _HANDLERS = {
 
 
 def run(argv: Iterable[str], stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> int:
-    """Parse and execute one invocation, writing to the given sinks."""
+    """Parse and execute one invocation; render its result as text or JSON to the given sinks."""
     out = sys.stdout if stdout is None else stdout
     err = sys.stderr if stderr is None else stderr
     parser = build_parser()
@@ -305,7 +223,13 @@ def run(argv: Iterable[str], stdout: IO[str] | None = None, stderr: IO[str] | No
         if exc.code is None:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
-    return _HANDLERS[args.command](args, out)
+    code, payload, lines = _HANDLERS[args.command](args)
+    if args.format == "json":
+        print(json.dumps({"command": args.command, **payload}, indent=2, default=_json_value), file=out)
+    else:
+        for line in lines:
+            print(line, file=out)
+    return code
 
 
 def main(argv: list[str] | None = None) -> None:

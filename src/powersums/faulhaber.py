@@ -68,11 +68,6 @@ class BernoulliTable:
     def __len__(self) -> int:
         return len(self._values)
 
-    @property
-    def values(self) -> tuple[Rational, ...]:
-        """Snapshot of every value computed so far."""
-        return tuple(self._values)
-
     def get(self, k: int) -> Rational:
         if k < 0:
             raise ValueError(f"Bernoulli index must be >= 0, got {k}")
@@ -88,9 +83,9 @@ class BernoulliTable:
 _SHARED_TABLE = BernoulliTable()
 
 
-def bernoulli(k: int, table: BernoulliTable | None = None) -> Rational:
-    """B_k, from the given table or the process-wide shared one."""
-    return (_SHARED_TABLE if table is None else table).get(k)
+def bernoulli(k: int) -> Rational:
+    """B_k, from the process-wide shared table."""
+    return _SHARED_TABLE.get(k)
 
 
 def power_sum_direct(m: int, n: int) -> int:

@@ -29,6 +29,181 @@ EVAL_7_2_GOLDEN = (
     "agree\ttrue\n"
 )
 
+# Exact `--format json` stdout: key order, indentation and the rational and
+# polynomial records are all part of the output contract.
+JSON_GOLDEN = {
+    ("bernoulli", "2"): """\
+{
+  "command": "bernoulli",
+  "max_index": 2,
+  "values": [
+    {
+      "index": 0,
+      "value": {
+        "num": "1",
+        "den": "1"
+      }
+    },
+    {
+      "index": 1,
+      "value": {
+        "num": "-1",
+        "den": "2"
+      }
+    },
+    {
+      "index": 2,
+      "value": {
+        "num": "1",
+        "den": "6"
+      }
+    }
+  ]
+}
+""",
+    ("powersum", "3"): """\
+{
+  "command": "powersum",
+  "exponent": 3,
+  "basis": "n",
+  "polynomial": {
+    "var": "n",
+    "coefficients": [
+      {
+        "num": "0",
+        "den": "1"
+      },
+      {
+        "num": "0",
+        "den": "1"
+      },
+      {
+        "num": "1",
+        "den": "4"
+      },
+      {
+        "num": "1",
+        "den": "2"
+      },
+      {
+        "num": "1",
+        "den": "4"
+      }
+    ]
+  }
+}
+""",
+    ("powersum", "5", "--basis", "t"): """\
+{
+  "command": "powersum",
+  "exponent": 5,
+  "basis": "t",
+  "index": 2,
+  "p": {
+    "var": "T",
+    "coefficients": [
+      {
+        "num": "-1",
+        "den": "3"
+      },
+      {
+        "num": "4",
+        "den": "3"
+      }
+    ]
+  },
+  "t_power": 2
+}
+""",
+    ("tform", "2"): """\
+{
+  "command": "tform",
+  "index": 2,
+  "exponent": 5,
+  "p": {
+    "var": "T",
+    "coefficients": [
+      {
+        "num": "-1",
+        "den": "3"
+      },
+      {
+        "num": "4",
+        "den": "3"
+      }
+    ]
+  },
+  "t_power": 2
+}
+""",
+    ("coeffs", "2"): """\
+{
+  "command": "coeffs",
+  "index": 2,
+  "order": "descending",
+  "coefficients": [
+    {
+      "num": "4",
+      "den": "3"
+    },
+    {
+      "num": "-1",
+      "den": "3"
+    }
+  ]
+}
+""",
+    ("verify", "faulhaber", "--max", "1"): """\
+{
+  "command": "verify",
+  "suite": "faulhaber",
+  "max": 1,
+  "results": [
+    {
+      "label": "faulhaber m=1",
+      "holds": true
+    }
+  ],
+  "passed": 1,
+  "total": 1,
+  "all_pass": true
+}
+""",
+    ("verify", "telescoping", "--max-m", "1", "--max-n", "1"): """\
+{
+  "command": "verify",
+  "suite": "telescoping",
+  "max_m": 1,
+  "max_n": 1,
+  "results": [
+    {
+      "label": "telescoping m=1 N=1",
+      "holds": true
+    }
+  ],
+  "passed": 1,
+  "total": 1,
+  "all_pass": true
+}
+""",
+    ("eval", "3", "2"): """\
+{
+  "command": "eval",
+  "exponent": 3,
+  "n": 2,
+  "polynomial": {
+    "num": "9",
+    "den": "1"
+  },
+  "direct": {
+    "num": "9",
+    "den": "1"
+  },
+  "agree": true
+}
+""",
+}
+
 
 def as_fraction(record):
     return Fraction(int(record["num"]), int(record["den"]))
@@ -171,7 +346,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("error, expected", [(RuntimeError("boom"), 3), (KeyboardInterrupt(), 130)])
     def test_uncaught_errors_get_their_own_exit_codes(self, monkeypatch, capsys, error, expected):
-        def handler(args, out):
+        def handler(args):
             raise error
 
         monkeypatch.setitem(powersums.cli._HANDLERS, "eval", handler)
@@ -185,6 +360,10 @@ class TestExitCodes:
 
 
 class TestJson:
+    @pytest.mark.parametrize("argv", list(JSON_GOLDEN), ids=" ".join)
+    def test_golden_bytes(self, cli, argv):
+        assert cli(*argv, "--format", "json") == (0, JSON_GOLDEN[argv], "")
+
     def test_bernoulli_round_trip(self, cli):
         code, out, _ = cli("bernoulli", "6", "--format", "json")
         assert code == 0

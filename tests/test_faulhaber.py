@@ -65,9 +65,8 @@ class TestBernoulli:
         # stored values alone, for every n up to 200.
         table = BernoulliTable()
         table.get(200)
-        values = table.values
         for n in range(1, 201):
-            assert sum(binomial(n + 1, k) * values[k] for k in range(n + 1)) == 0
+            assert sum(binomial(n + 1, k) * table.get(k) for k in range(n + 1)) == 0
 
     def test_concurrent_extension_is_consistent(self):
         table = BernoulliTable()

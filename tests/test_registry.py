@@ -49,3 +49,13 @@ def test_sweep_script_runs_every_suite(script_subprocess):
         ["telescoping", "ok", "6"],
     ]
     assert lines[-1] == "all suites passed"
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--max", "1"), ("--max", "0"), ("--max-m", "0"), ("--max-n", "0"), ("--table-max", "0"), ("--table-max", "-1")],
+)
+def test_sweep_script_refuses_bounds_that_sweep_nothing(script_subprocess, option, value):
+    proc = script_subprocess("run_verification.py", option, value)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"{option} must be at least" in proc.stderr
