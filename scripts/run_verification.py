@@ -8,6 +8,7 @@ nonzero exit if any instance fails (none ever should).
 """
 
 import argparse
+import signal
 import sys
 import time
 
@@ -16,6 +17,7 @@ from powersums.faulhaber import SUITES, bernoulli
 
 
 def main() -> int:
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max", type=int, default=200, help="largest m of pascal, faulhaber, odd-bernoulli")
     parser.add_argument("--max-m", type=int, default=10, help="telescoping: largest exponent m")

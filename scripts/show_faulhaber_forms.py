@@ -8,12 +8,14 @@ degree first.  Note the strictly alternating signs and the head term
 """
 
 import argparse
+import signal
 import sys
 
 from powersums.faulhaber import faulhaber_coefficients, power_sum_tform
 
 
 def main() -> int:
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max", type=int, default=12, help="largest form index m (default 12)")
     args = parser.parse_args()

@@ -27,7 +27,6 @@ from .polynomial import (
     monomial,
     poly_eval,
     poly_scale,
-    poly_shift,
     t_to_n,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "monomial",
     "poly_eval",
     "poly_scale",
-    "poly_shift",
     "power_sum_direct",
     "power_sum_poly_n",
     "power_sum_tform",

@@ -21,8 +21,10 @@ T = n(n+1)/2:
 
 * Faulhaber forms.  Solving the ladder for its top term shows every odd
   power sum is a polynomial in T divisible by T^2:
-  S_{2m+1}(n) = P(T) * T^2 with deg P = m-1; ``power_sum_tform`` builds
-  P by eliminating the lower odd sums through the ladder.
+  S_{2m+1}(n) = P(T) * T^2 with deg P = m-1.  ``power_sum_tform`` builds
+  P_m from the order-(m+1) ladder divided through by T^2,
+  2^m * T^(m-1) = sum over j of C(m+1, j) * P_{(m+j)/2}(T), whose top
+  term is (m+1) * P_m, by eliminating the lower forms.
 
 Comparing the two representations coefficient by coefficient is a
 mechanical proof that the odd Bernoulli numbers B_3, B_5, ... vanish:
@@ -49,7 +51,7 @@ from functools import cache
 from typing import Callable, Iterator
 
 from .exact_arith import Rational, binomial
-from .polynomial import Polynomial, monomial, poly_scale, poly_shift, t_to_n
+from .polynomial import Polynomial, monomial, poly_scale, t_to_n
 
 
 class BernoulliTable:
@@ -186,26 +188,18 @@ def telescoping_check(m: int, n: int) -> VerificationReport:
 def power_sum_tform(m: int) -> FaulhaberForm:
     """Build P with S_{2m+1}(n) = P(T) * T^2, by ladder elimination.
 
-    For m >= 2 take the ladder instance whose top term is S_{2m+1}
-    (order M = m+1), substitute the already-known T-forms of the lower
-    odd sums, divide by the top coefficient C(M, M-1) = M, and shift out
-    the T^2 factor that must remain.  The divisibility is asserted, not
-    assumed: a nonzero low coefficient would be an invariant violation.
+    Every odd sum in the order-(m+1) ladder carries T^2; divided by it,
+    the ladder reads 2^m * T^(m-1) = sum_j C(m+1, j) * P_{(m+j)/2}(T),
+    with top term (m+1) * P_m.  Subtracting the already-known lower forms
+    and dividing by m+1 gives P_m; for m = 1 nothing is subtracted and
+    P_1 = 2/2 = 1, so S_3 = T^2.
     """
     if m < 1:
         raise ValueError(f"power_sum_tform requires m >= 1, got {m}")
-    if m == 1:
-        # S_3 = T^2 exactly, the classical square of the triangular number.
-        return FaulhaberForm(1, Polynomial((1,), "T"))
-    order = m + 1
-    remainder = monomial(2 ** (order - 1), order, "T")
-    for j in _ladder_indices(order)[:-1]:
-        lower = power_sum_tform((m + j) // 2)
-        remainder = remainder - binomial(order, j) * poly_shift(lower.p, 2)
-    remainder = poly_scale(Rational(1, order), remainder)
-    if remainder.degree < 2 or remainder.coefficient(0) != 0 or remainder.coefficient(1) != 0:
-        raise AssertionError(f"ladder remainder for m={m} is not divisible by T^2: {remainder}")
-    return FaulhaberForm(m, poly_shift(remainder, -2))
+    p = monomial(2**m, m - 1, "T")
+    for j in _ladder_indices(m + 1)[:-1]:
+        p = p - binomial(m + 1, j) * power_sum_tform((m + j) // 2).p
+    return FaulhaberForm(m, poly_scale(Rational(1, m + 1), p))
 
 
 def faulhaber_coefficients(m: int) -> list[Rational]:
@@ -216,7 +210,7 @@ def faulhaber_coefficients(m: int) -> list[Rational]:
 def verify_faulhaber(m: int) -> VerificationReport:
     """Cross-check the T-route against the Bernoulli route for S_{2m+1}."""
     form = power_sum_tform(m)
-    lhs = t_to_n(poly_shift(form.p, 2))
+    lhs = t_to_n(monomial(1, 2, "T") * form.p)
     rhs = power_sum_poly_n(2 * m + 1)
     return VerificationReport(f"faulhaber m={m}", lhs, rhs)
 
@@ -230,7 +224,7 @@ def infer_odd_bernoulli(m: int) -> Rational:
     coefficient found on the T-route therefore *is* B_{2m+1}.
     """
     form = power_sum_tform(m)
-    expanded = t_to_n(poly_shift(form.p, 2))
+    expanded = t_to_n(monomial(1, 2, "T") * form.p)
     return -expanded.coefficient(1)
 
 

@@ -207,19 +207,6 @@ def monomial(coeff: int | Rational, degree: int, var: str) -> Polynomial:
     return Polynomial((0,) * degree + (coeff,), var)
 
 
-def poly_shift(p: Polynomial, k: int) -> Polynomial:
-    """p * var**k; a negative k divides by var**(-k), which must be exact.
-
-    Raises ValueError when k < 0 and one of the -k lowest coefficients,
-    which the division would drop, is nonzero.
-    """
-    if k >= 0:
-        return _make(((0,) * k + p._nums) if p._nums else (), p._den, p.var)
-    if any(p._nums[:-k]):
-        raise ValueError(f"{p} is not divisible by {p.var}^{-k}")
-    return _make(p._nums[-k:], p._den, p.var)
-
-
 def poly_scale(c: int | Rational, p: Polynomial) -> Polynomial:
     """Multiply every coefficient by the rational c."""
     c = as_rational(c)

@@ -68,13 +68,13 @@ def script_subprocess():
 
 
 @pytest.fixture
-def cli_popen():
-    """Start the CLI as a subprocess with piped stdout and stderr; returns the Popen."""
+def popen():
+    """Start ``python *args`` with piped stdout and stderr; returns the Popen."""
     started = []
 
     def start(*args: str):
         proc = subprocess.Popen(
-            [sys.executable, "-m", "powersums", *args],
+            [sys.executable, *args],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=_subprocess_env(),
@@ -89,3 +89,15 @@ def cli_popen():
             proc.wait(timeout=10)
         for stream in (proc.stdout, proc.stderr):
             stream.close()
+
+
+@pytest.fixture
+def cli_popen(popen):
+    """Start the CLI as a subprocess with piped stdout and stderr; returns the Popen."""
+    return lambda *args: popen("-m", "powersums", *args)
+
+
+@pytest.fixture
+def script_popen(popen):
+    """Start a file of scripts/ as a subprocess with piped stdout and stderr; returns the Popen."""
+    return lambda name, *args: popen(str(SCRIPTS_DIR / name), *args)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from powersums import faulhaber
 from powersums.exact_arith import binomial
 from powersums.faulhaber import (
     BernoulliTable,
@@ -223,12 +224,26 @@ class TestTForm:
         for left, right in zip(descending, descending[1:]):
             assert left * right < 0
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 9])
+    @pytest.mark.parametrize("m", range(1, 41))
     def test_numeric_against_direct_sums(self, m):
+        # n = 1..m+1 gives m+1 distinct nonzero T, more than the m
+        # coefficients of P, so brute force alone pins the whole form.
         form = power_sum_tform(m)
-        for n in range(0, 12):
+        for n in range(0, max(11, m + 1) + 1):
             t = Fraction(n * (n + 1), 2)
             assert poly_eval(form.p, t) * t**2 == power_sum_direct(2 * m + 1, n)
+
+    def test_reads_no_bernoulli_number(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the T-route read a Bernoulli number")
+
+        monkeypatch.setattr(faulhaber.BernoulliTable, "get", refuse)
+        monkeypatch.setattr(faulhaber, "bernoulli", refuse)
+        power_sum_tform.cache_clear()
+        for m in range(1, 41):
+            power_sum_tform(m)
+            faulhaber_coefficients(m)
+            assert infer_odd_bernoulli(m) == 0
 
     def test_bad_shape_is_an_invariant_violation(self):
         with pytest.raises(AssertionError):

@@ -17,7 +17,6 @@ from powersums.polynomial import (
     monomial,
     poly_eval,
     poly_scale,
-    poly_shift,
     t_to_n,
 )
 
@@ -216,24 +215,6 @@ class TestRendering:
         assert str(poly) == text
 
 
-class TestShift:
-    def test_multiply_by_t_squared(self):
-        p = Polynomial((Fraction(-1, 3), Fraction(4, 3)), "T")
-        assert poly_shift(p, 2) == monomial(1, 2, "T") * p
-
-    def test_exact_division_round_trips(self):
-        p = Polynomial((5, 0, Fraction(2, 7)), "n")
-        assert poly_shift(poly_shift(p, 3), -3) == p
-
-    def test_zero_polynomial(self):
-        assert poly_shift(Polynomial((), "T"), 2) == Polynomial((), "T")
-        assert poly_shift(Polynomial((), "T"), -2) == Polynomial((), "T")
-
-    def test_inexact_division_is_a_domain_error(self):
-        with pytest.raises(ValueError):
-            poly_shift(Polynomial((0, 1, 1), "T"), -2)
-
-
 # Reference arithmetic on plain ascending tuples of Fractions, the
 # representation Polynomial used to store; results are trimmed the same way.
 def ref_trim(cs):
@@ -315,8 +296,7 @@ class TestCanonicalForm:
     @given(coeff_lists, coeff_lists, wide_rationals, st.integers(0, 3))
     def test_every_result_is_canonical(self, a, b, c, k):
         p, q = Polynomial(a, "T"), Polynomial(b, "T")
-        results = [p, q, p + q, p - q, -p, p * q, p**k, poly_scale(c, p), t_to_n(p),
-                   poly_shift(p, 2), poly_shift(poly_shift(p, 2), -2)]
+        results = [p, q, p + q, p - q, -p, p * q, p**k, poly_scale(c, p), t_to_n(p)]
         for r in results:
             assert_canonical(r)
 
@@ -324,7 +304,7 @@ class TestCanonicalForm:
     def test_equal_polynomials_have_equal_hashes(self, a, b, c):
         p, q = Polynomial(a, "T"), Polynomial(b, "T")
         rebuilt = [(p + q) - q, Polynomial(p.coeffs, "T"), Polynomial(map(str, p.coeffs), "T"),
-                   -(-p), poly_shift(poly_shift(p, 1), -1)]
+                   -(-p)]
         if c != 0:
             rebuilt.append(poly_scale(1 / c, poly_scale(c, p)))
         for r in rebuilt:
