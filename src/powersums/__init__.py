@@ -25,7 +25,9 @@ from .polynomial import (
     T_AS_N_POLY,
     Polynomial,
     monomial,
+    poly_combination,
     poly_eval,
+    poly_from_numerators,
     poly_scale,
     t_to_n,
 )
@@ -43,7 +45,9 @@ __all__ = [
     "faulhaber_coefficients",
     "infer_odd_bernoulli",
     "monomial",
+    "poly_combination",
     "poly_eval",
+    "poly_from_numerators",
     "poly_scale",
     "power_sum_direct",
     "power_sum_poly_n",

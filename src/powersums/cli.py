@@ -20,13 +20,12 @@ and 3 on any other uncaught error, whose traceback goes to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
-import traceback
+from collections.abc import Iterable
 from contextlib import redirect_stderr, redirect_stdout
-from typing import IO, Any, Iterable
+from io import TextIOBase
 
 from .exact_arith import Rational
 from .faulhaber import (
@@ -44,7 +43,7 @@ _DECIMAL_INT = re.compile(r"[0-9]+")
 _BOUNDS = tuple(dict.fromkeys(key for suite in SUITES.values() for key in suite.defaults))
 # A command's result: exit code, JSON payload (without "command") and text
 # lines.  Costly lines are generators, so JSON output never formats them.
-_Result = tuple[int, dict[str, Any], Iterable[str]]
+_Result = tuple[int, dict[str, object], Iterable[str]]
 
 
 def _uint(minimum: int):
@@ -209,7 +208,7 @@ _HANDLERS = {
 }
 
 
-def run(argv: Iterable[str], stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> int:
+def run(argv: Iterable[str], stdout: TextIOBase | None = None, stderr: TextIOBase | None = None) -> int:
     """Parse and execute one invocation; render its result as text or JSON to the given sinks."""
     out = sys.stdout if stdout is None else stdout
     err = sys.stderr if stderr is None else stderr
@@ -225,6 +224,8 @@ def run(argv: Iterable[str], stdout: IO[str] | None = None, stderr: IO[str] | No
         return exc.code if isinstance(exc.code, int) else 2
     code, payload, lines = _HANDLERS[args.command](args)
     if args.format == "json":
+        import json  # only JSON output pays for loading the encoder
+
         print(json.dumps({"command": args.command, **payload}, indent=2, default=_json_value), file=out)
     else:
         for line in lines:
@@ -234,6 +235,10 @@ def run(argv: Iterable[str], stdout: IO[str] | None = None, stderr: IO[str] | No
 
 def main(argv: list[str] | None = None) -> None:
     """Process entry point: ``run`` on sys.argv, with exit codes for failures."""
+    # Print integers of any size: Python 3.11+ (and 3.10.7+) refuse by
+    # default to convert an int of more than 4300 digits to str.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         code = run(sys.argv[1:] if argv is None else argv)
         # Flush inside the try, so that a closed pipe surfaces here.
@@ -247,6 +252,8 @@ def main(argv: list[str] | None = None) -> None:
     except KeyboardInterrupt:
         code = 130
     except Exception:
+        import traceback  # only a crash pays for loading it
+
         traceback.print_exc()
         code = 3
     raise SystemExit(code)

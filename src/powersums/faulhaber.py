@@ -46,12 +46,12 @@ so concurrent callers always observe consistent values.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from functools import cache
-from typing import Callable, Iterator
+from math import lcm
 
 from .exact_arith import Rational, binomial
-from .polynomial import Polynomial, monomial, poly_scale, t_to_n
+from .polynomial import Polynomial, monomial, poly_combination, poly_from_numerators, t_to_n
 
 
 class BernoulliTable:
@@ -99,19 +99,65 @@ def power_sum_direct(m: int, n: int) -> int:
 
 @cache
 def power_sum_poly_n(m: int) -> Polynomial:
-    """S_m as an exact polynomial in n, via the Bernoulli-number formula."""
+    """S_m as an exact polynomial in n, via the Bernoulli-number formula.
+
+    The coefficient of n^(m+1-j) is (-1)^j * C(m+1, j) * B_j / (m+1).  All
+    of them are built as integer numerators over L * (m+1), with L the lcm
+    of the denominators of B_0..B_m, and reduced once at the end.
+    """
     if m < 1:
         raise ValueError(f"power_sum_poly_n requires m >= 1, got {m}")
     order = m + 1
-    coeffs = [Rational(0)] * (order + 1)
-    for j in range(m + 1):
-        sign = -1 if j % 2 else 1
-        coeffs[order - j] = Rational(sign * binomial(order, j), order) * bernoulli(j)
-    return Polynomial(tuple(coeffs), "n")
+    values = [bernoulli(j) for j in range(order)]
+    common = lcm(*[b.denominator for b in values])
+    nums = [
+        (-1 if j % 2 else 1) * binomial(order, j) * b.numerator * (common // b.denominator)
+        for j, b in enumerate(values)
+    ]
+    # nums[j] belongs to n^(m+1-j); the constant term is 0.
+    return poly_from_numerators([0] + nums[::-1], common * order, "n")
 
 
-@dataclass(frozen=True)
-class FaulhaberForm:
+class _Record:
+    """Base of the immutable records below, with frozen-dataclass manners.
+
+    The fields are the subclass's ``__slots__``, set once by ``__init__``
+    in that order; assignment raises AttributeError, and equality (same
+    class only), hashing, repr and pickling go by the fields.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class FaulhaberForm(_Record):
     """The factored odd power sum S_{2m+1}(n) = p(T) * T^2.
 
     Construction enforces the structural shape: deg p = m - 1, leading
@@ -120,10 +166,10 @@ class FaulhaberForm:
     (4T - 1)/3).  Violations are invariant failures, not domain errors.
     """
 
-    m: int
-    p: Polynomial
+    __slots__ = ("m", "p")
 
-    def __post_init__(self) -> None:
+    def __init__(self, m: int, p: Polynomial) -> None:
+        super().__init__(m, p)
         if self.m < 1:
             raise ValueError(f"FaulhaberForm index must be >= 1, got {self.m}")
         if self.p.var != "T":
@@ -137,13 +183,13 @@ class FaulhaberForm:
             raise AssertionError(f"tail relation c1 = -4*c0 broken for m={self.m}")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Both sides of a symbolic identity check, as canonical polynomials."""
 
-    label: str
-    lhs: Polynomial
-    rhs: Polynomial
+    __slots__ = ("label", "lhs", "rhs")
+
+    def __init__(self, label: str, lhs: Polynomial, rhs: Polynomial) -> None:
+        super().__init__(label, lhs, rhs)
 
     @property
     def holds(self) -> bool:
@@ -161,9 +207,7 @@ def verify_pascal_identity(m: int) -> VerificationReport:
     if m < 2:
         raise ValueError(f"verify_pascal_identity requires m >= 2, got {m}")
     lhs = t_to_n(monomial(2 ** (m - 1), m, "T"))
-    rhs = Polynomial((), "n")
-    for j in _ladder_indices(m):
-        rhs = rhs + binomial(m, j) * power_sum_poly_n(m + j)
+    rhs = poly_combination([(binomial(m, j), power_sum_poly_n(m + j)) for j in _ladder_indices(m)], "n")
     return VerificationReport(f"pascal m={m}", lhs, rhs)
 
 
@@ -190,16 +234,16 @@ def power_sum_tform(m: int) -> FaulhaberForm:
 
     Every odd sum in the order-(m+1) ladder carries T^2; divided by it,
     the ladder reads 2^m * T^(m-1) = sum_j C(m+1, j) * P_{(m+j)/2}(T),
-    with top term (m+1) * P_m.  Subtracting the already-known lower forms
-    and dividing by m+1 gives P_m; for m = 1 nothing is subtracted and
-    P_1 = 2/2 = 1, so S_3 = T^2.
+    with top term (m+1) * P_m.  So P_m is the one integer combination
+    (2^m * T^(m-1) - sum over the lower j of C(m+1, j) * P_{(m+j)/2}) / (m+1),
+    reduced once; for m = 1 there is no lower term and P_1 = 2/2 = 1, so
+    S_3 = T^2.
     """
     if m < 1:
         raise ValueError(f"power_sum_tform requires m >= 1, got {m}")
-    p = monomial(2**m, m - 1, "T")
-    for j in _ladder_indices(m + 1)[:-1]:
-        p = p - binomial(m + 1, j) * power_sum_tform((m + j) // 2).p
-    return FaulhaberForm(m, poly_scale(Rational(1, m + 1), p))
+    terms = [(2**m, monomial(1, m - 1, "T"))]
+    terms += [(-binomial(m + 1, j), power_sum_tform((m + j) // 2).p) for j in _ladder_indices(m + 1)[:-1]]
+    return FaulhaberForm(m, poly_combination(terms, "T", m + 1))
 
 
 def faulhaber_coefficients(m: int) -> list[Rational]:
@@ -228,8 +272,7 @@ def infer_odd_bernoulli(m: int) -> Rational:
     return -expanded.coefficient(1)
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(_Record):
     """One verification suite of the registry.
 
     ``defaults`` maps each bound (``max``, or ``max_m`` and ``max_n``) to
@@ -238,9 +281,12 @@ class Suite:
     pair per instance.
     """
 
-    defaults: dict[str, int]
-    first: int
-    sweep: Callable[..., Iterator[tuple[str, bool]]]
+    __slots__ = ("defaults", "first", "sweep")
+
+    def __init__(
+        self, defaults: dict[str, int], first: int, sweep: Callable[..., Iterator[tuple[str, bool]]]
+    ) -> None:
+        super().__init__(defaults, first, sweep)
 
 
 def _outcome(report: VerificationReport) -> tuple[str, bool]:

@@ -7,8 +7,11 @@ is positive, it shares no common factor with all the numerators, and the
 highest stored numerator is nonzero; the zero polynomial is ``((), 1)``.
 Arithmetic therefore runs on plain ints and ends in one gcd pass per
 result, instead of one reduced Fraction per coefficient per operation.
-The layout is private to this module: callers see ``coeffs``, an
-ascending tuple of Fractions built on first use and then cached.
+``poly_combination`` extends that to a whole integer linear combination
+(sum of c_i * p_i) / d: one lcm of the denominators, int accumulation,
+one gcd pass.  The layout is private to this module: callers see
+``coeffs``, an ascending tuple of Fractions built on first use and then
+cached, and build from int numerators through ``poly_from_numerators``.
 
 Every polynomial carries a variable tag, ``"n"`` or ``"T"``: the first
 is the summation limit of a power sum, the second the triangular number
@@ -17,9 +20,9 @@ silent coercion -- the two bases mean different things and confusing
 them must not pass quietly.  Substituting T = (n^2+n)/2 (``t_to_n``) is
 the one sanctioned bridge between them.
 
-Polynomials are immutable: equality is structural (same tag, same
-coefficients), instances are hashable, and sharing across threads is
-safe.
+Polynomials are immutable (assignment raises AttributeError): equality
+is structural (same tag, same coefficients), instances are hashable, and
+sharing across threads is safe.
 
 Display order is highest degree first, e.g. ``1/4*n^4 + 1/2*n^3 +
 1/4*n^2``; this exact grammar is what the CLI prints and what golden
@@ -28,10 +31,8 @@ tests pin down.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
-from itertools import zip_longest
+from collections.abc import Iterable
 from math import gcd, lcm
-from typing import Iterable
 
 from .exact_arith import Rational, as_rational
 
@@ -44,8 +45,7 @@ class Polynomial:
     __slots__ = ("_nums", "_den", "var", "_coeffs")
 
     def __init__(self, coeffs: Iterable[int | str | Rational], var: str) -> None:
-        if var not in VARIABLES:
-            raise ValueError(f"unknown variable tag {var!r}; expected one of {VARIABLES}")
+        _check_var(var)
         rationals = [as_rational(c) for c in coeffs]
         while rationals and rationals[-1] == 0:
             rationals.pop()
@@ -56,10 +56,10 @@ class Polynomial:
         _init(self, nums, den, var, tuple(rationals))
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return Polynomial, (self.coeffs, self.var)
@@ -100,18 +100,10 @@ class Polynomial:
         if self.var != other.var:
             raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
 
-    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
-        """self + sign*other over the lcm of the two denominators."""
-        self._require_same_var(other)
-        g = gcd(self._den, other._den)
-        fa, fb = other._den // g, sign * (self._den // g)
-        nums = [a * fa + b * fb for a, b in zip_longest(self._nums, other._nums, fillvalue=0)]
-        return _canonical(nums, fa * self._den, self.var)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._combine(other, 1)
+        return poly_combination([(1, self), (1, other)], self.var)
 
     def __neg__(self) -> "Polynomial":
         return _make(tuple(-c for c in self._nums), self._den, self.var)
@@ -119,7 +111,7 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._combine(other, -1)
+        return poly_combination([(1, self), (-1, other)], self.var)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -174,6 +166,11 @@ class Polynomial:
         return " ".join(parts)
 
 
+def _check_var(var: str) -> None:
+    if var not in VARIABLES:
+        raise ValueError(f"unknown variable tag {var!r}; expected one of {VARIABLES}")
+
+
 def _init(p: Polynomial, nums: tuple[int, ...], den: int, var: str, coeffs: tuple | None) -> None:
     setter = object.__setattr__
     setter(p, "_nums", nums)
@@ -204,7 +201,43 @@ def monomial(coeff: int | Rational, degree: int, var: str) -> Polynomial:
     """The polynomial coeff * var**degree."""
     if degree < 0:
         raise ValueError(f"monomial degree must be >= 0, got {degree}")
-    return Polynomial((0,) * degree + (coeff,), var)
+    _check_var(var)
+    c = as_rational(coeff)
+    if not c:
+        return _make((), 1, var)
+    return _make((0,) * degree + (c.numerator,), c.denominator, var)
+
+
+def poly_from_numerators(nums: Iterable[int], den: int, var: str) -> Polynomial:
+    """The polynomial sum of (nums[i] / den) * var**i, for ints nums and an int den >= 1."""
+    _check_var(var)
+    if den < 1:
+        raise ValueError(f"denominator must be >= 1, got {den}")
+    return _canonical(list(nums), den, var)
+
+
+def poly_combination(terms: Iterable[tuple[int, Polynomial]], var: str, divisor: int = 1) -> Polynomial:
+    """(sum of c * p over the (c, p) in terms) / divisor, for int c and an int divisor >= 1.
+
+    Every term joins the sum over the lcm of all the denominators, so the
+    whole combination ends in one gcd pass, not one per term.  Each p must
+    carry the tag var: mixing tags is a ValueError, as with ``+``.
+    """
+    _check_var(var)
+    if divisor < 1:
+        raise ValueError(f"divisor must be >= 1, got {divisor}")
+    terms = list(terms)
+    for _, p in terms:
+        if p.var != var:
+            raise ValueError(f"variable mismatch: {var!r} vs {p.var!r}")
+    den = lcm(*[p._den for _, p in terms])
+    acc = [0] * max([len(p._nums) for _, p in terms], default=0)
+    for c, p in terms:
+        f = c * (den // p._den)
+        if f:
+            nums = p._nums
+            acc[: len(nums)] = [x + f * y for x, y in zip(acc, nums)]
+    return _canonical(acc, den * divisor, var)
 
 
 def poly_scale(c: int | Rational, p: Polynomial) -> Polynomial:

@@ -444,3 +444,36 @@ class TestSubprocess:
         assert proc.wait(timeout=60) == 141
         assert first == b"PASS telescoping m=1 N=1\n"
         assert err == b""
+
+
+class TestProcessEntryPoint:
+    # Run main in a child, with power_sum_poly_n patched to return a
+    # 5001-digit constant: Python refuses by default to print an int of
+    # more than 4300 digits.
+    HUGE = """
+import sys
+from powersums import cli
+from powersums.polynomial import Polynomial
+cli.power_sum_poly_n = lambda m: Polynomial((10**5000,), "n")
+cli.main(sys.argv[1:])
+"""
+
+    def test_huge_integers_print_in_full(self, popen):
+        proc = popen("-c", self.HUGE, "powersum", "1")
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
+        assert out == b"1" + b"0" * 5000 + b"\n"
+
+    def test_huge_integers_print_in_full_as_json(self, popen):
+        proc = popen("-c", self.HUGE, "--format", "json", "powersum", "1")
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
+        coefficient = json.loads(out)["polynomial"]["coefficients"][0]
+        assert coefficient == {"num": "1" + "0" * 5000, "den": "1"}
+
+    def test_import_loads_no_crash_or_json_machinery(self, popen):
+        # -S keeps site-packages .pth files from importing these first.
+        lazy = ("dataclasses", "inspect", "json", "traceback")
+        proc = popen("-S", "-c", f"import sys, powersums.cli; print(*[m for m in {lazy!r} if m in sys.modules])")
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (0, b"\n", b"")

@@ -1,5 +1,8 @@
 """Bernoulli numbers, power-sum polynomials, T-forms, and the identity checks."""
 
+import copy
+import hashlib
+import pickle
 import threading
 from fractions import Fraction
 
@@ -127,6 +130,16 @@ class TestPowerSumPolynomial:
     def test_matches_direct_summation(self, m, n):
         assert poly_eval(power_sum_poly_n(m), n) == power_sum_direct(m, n)
 
+    def test_matches_per_coefficient_fractions(self):
+        # The reference builds each coefficient of n^(m+1-j) as its own
+        # Fraction, (-1)^j * C(m+1, j) * B_j / (m+1).
+        for m in range(1, 121):
+            order = m + 1
+            reference = [Fraction(0)] * (order + 1)
+            for j in range(order):
+                reference[order - j] = Fraction((-1) ** j * binomial(order, j), order) * bernoulli(j)
+            assert power_sum_poly_n(m) == Polynomial(reference, "n")
+
 
 class TestPowerSumDirect:
     def test_examples(self):
@@ -233,6 +246,14 @@ class TestTForm:
             t = Fraction(n * (n + 1), 2)
             assert poly_eval(form.p, t) * t**2 == power_sum_direct(2 * m + 1, n)
 
+    def test_forms_match_their_pinned_digest(self):
+        # SHA-256 of "str(P_m)\n" for m = 1..120, captured before the ladder
+        # became one integer combination per form.
+        digest = hashlib.sha256()
+        for m in range(1, 121):
+            digest.update(f"{power_sum_tform(m).p}\n".encode())
+        assert digest.hexdigest() == "97640eec9f19920280c3a359aaa0b6c01006aef659d8f39bbe6f59b2bf37828a"
+
     def test_reads_no_bernoulli_number(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the T-route read a Bernoulli number")
@@ -314,6 +335,30 @@ class TestOddBernoulli:
         expanded = t_to_n(power_sum_tform(m).p * monomial(1, 2, "T"))
         assert expanded.coefficient(0) == 0
         assert expanded.coefficient(1) == 0
+
+
+class TestRecords:
+    def test_frozen_value_semantics(self):
+        form = power_sum_tform(2)
+        report = VerificationReport("x", Polynomial((1,), "n"), Polynomial((1,), "n"))
+        suite = faulhaber.SUITES["pascal"]
+        assert form == FaulhaberForm(m=2, p=form.p)
+        assert report == VerificationReport(label="x", lhs=report.lhs, rhs=report.rhs)
+        assert hash(form) == hash(FaulhaberForm(2, form.p))
+        assert report != VerificationReport("y", report.lhs, report.rhs)
+        assert report != ("x", report.lhs, report.rhs)
+        assert repr(form) == f"FaulhaberForm(m=2, p={form.p!r})"
+        assert repr(report) == f"VerificationReport(label='x', lhs={report.lhs!r}, rhs={report.rhs!r})"
+        assert repr(suite).startswith("Suite(defaults={'max': 40}, first=2, sweep=<function")
+        for record, field in ((form, "m"), (report, "label"), (suite, "first")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+            with pytest.raises(AttributeError):
+                record.extra = 0
+        assert pickle.loads(pickle.dumps(form)) == form
+        assert copy.deepcopy(report) == report
 
 
 class TestVerificationReport:

@@ -15,7 +15,9 @@ from powersums.polynomial import (
     T_AS_N_POLY,
     Polynomial,
     monomial,
+    poly_combination,
     poly_eval,
+    poly_from_numerators,
     poly_scale,
     t_to_n,
 )
@@ -121,6 +123,92 @@ class TestScale:
         p = Polynomial((1, -2), "n")
         assert poly_scale(-1, p) == -p
         assert poly_scale(-1, p) + p == Polynomial((), "n")
+
+
+def combination_by_folds(terms, var, divisor=1):
+    """The chain poly_combination replaces: one poly_scale and one + per term."""
+    total = Polynomial((), var)
+    for c, p in terms:
+        total = total + poly_scale(c, p)
+    return poly_scale(Fraction(1, divisor), total)
+
+
+class TestCombination:
+    @given(
+        st.lists(st.tuples(st.integers(-50, 50), polys("T", 7)), max_size=6),
+        st.integers(1, 30),
+    )
+    def test_matches_scale_and_add_folds(self, terms, divisor):
+        assert poly_combination(terms, "T", divisor) == combination_by_folds(terms, "T", divisor)
+        assert poly_combination(terms, "T") == combination_by_folds(terms, "T")
+
+    def test_empty_and_zero_coefficients_give_the_zero_polynomial(self):
+        p = Polynomial((Fraction(1, 3), 2), "n")
+        for terms in ([], [(0, p)], [(0, p), (0, T_AS_N_POLY)]):
+            assert poly_combination(terms, "n", 7) == Polynomial((), "n")
+
+    def test_cancelling_terms_give_the_zero_polynomial(self):
+        p = Polynomial((Fraction(1, 3), 2, Fraction(-5, 6)), "T")
+        assert poly_combination([(2, p), (-1, p), (-1, p)], "T", 5) == Polynomial((), "T")
+        assert poly_combination([(3, p), (-2, poly_scale(Fraction(3, 2), p))], "T") == Polynomial((), "T")
+
+    def test_divisor_divides_the_sum(self):
+        p, q = Polynomial((1, 1), "n"), Polynomial((0, 1, 1), "n")
+        assert poly_combination([(3, p), (3, q)], "n", 6) == Polynomial((Fraction(1, 2), 1, Fraction(1, 2)), "n")
+        assert poly_combination([(-1, p)], "n", 2) == Polynomial((Fraction(-1, 2), Fraction(-1, 2)), "n")
+
+    def test_divisor_below_one_is_a_domain_error(self):
+        for divisor in (0, -2):
+            with pytest.raises(ValueError):
+                poly_combination([(1, T_AS_N_POLY)], "n", divisor)
+
+    def test_mixed_tags_are_a_domain_error(self):
+        n_poly, t_poly = Polynomial((1,), "n"), Polynomial((1,), "T")
+        with pytest.raises(ValueError):
+            poly_combination([(1, n_poly), (1, t_poly)], "n")
+        with pytest.raises(ValueError):
+            poly_combination([(0, t_poly)], "n")  # a zero coefficient does not excuse the tag
+        with pytest.raises(ValueError):
+            poly_combination([], "x")
+
+
+class TestMonomial:
+    @given(small_rationals, st.integers(0, 8), st.sampled_from(["n", "T"]))
+    def test_matches_the_constructor(self, c, degree, var):
+        assert monomial(c, degree, var) == Polynomial((0,) * degree + (c,), var)
+
+    def test_one_rational_coercion(self, monkeypatch):
+        seen = []
+
+        def counting(value):
+            seen.append(value)
+            return Fraction(value)
+
+        monkeypatch.setattr("powersums.polynomial.as_rational", counting)
+        assert monomial(Fraction(2, 3), 40, "T").coefficient(40) == Fraction(2, 3)
+        assert seen == [Fraction(2, 3)]
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            monomial(1, -1, "n")
+        with pytest.raises(ValueError):
+            monomial(0, 2, "x")
+        with pytest.raises(TypeError):
+            monomial(0.5, 2, "n")
+
+
+class TestFromNumerators:
+    @given(st.lists(st.integers(-(10**6), 10**6), max_size=7), st.integers(1, 720))
+    def test_matches_the_rational_constructor(self, nums, den):
+        expected = Polynomial([Fraction(c, den) for c in nums], "n")
+        assert poly_from_numerators(nums, den, "n") == expected
+
+    def test_domain_errors(self):
+        for den in (0, -3):
+            with pytest.raises(ValueError):
+                poly_from_numerators([1], den, "n")
+        with pytest.raises(ValueError):
+            poly_from_numerators([1], 1, "x")
 
 
 class TestEval:
@@ -290,13 +378,16 @@ def assert_canonical(p: Polynomial) -> None:
 class TestCanonicalForm:
     def test_zero_polynomial_layout(self):
         for zero in (Polynomial((), "n"), Polynomial((0, Fraction(0, 5)), "n"),
-                     poly_scale(0, T_AS_N_POLY), T_AS_N_POLY - T_AS_N_POLY):
+                     poly_scale(0, T_AS_N_POLY), T_AS_N_POLY - T_AS_N_POLY, monomial(0, 4, "n"),
+                     poly_combination([(1, T_AS_N_POLY), (-1, T_AS_N_POLY)], "n", 3)):
             assert (zero._nums, zero._den) == ((), 1)
 
     @given(coeff_lists, coeff_lists, wide_rationals, st.integers(0, 3))
     def test_every_result_is_canonical(self, a, b, c, k):
         p, q = Polynomial(a, "T"), Polynomial(b, "T")
-        results = [p, q, p + q, p - q, -p, p * q, p**k, poly_scale(c, p), t_to_n(p)]
+        results = [p, q, p + q, p - q, -p, p * q, p**k, poly_scale(c, p), t_to_n(p),
+                   monomial(c, k, "T"), monomial(0, k, "T"), poly_combination([(k, p), (-3, q)], "T", 4),
+                   poly_from_numerators([c.numerator, k, 0], c.denominator * 6, "T")]
         for r in results:
             assert_canonical(r)
 
