@@ -22,7 +22,6 @@ from .faulhaber import (
     verify_pascal_identity,
 )
 from .polynomial import (
-    T_AS_N_POLY,
     Polynomial,
     monomial,
     poly_combination,
@@ -37,7 +36,6 @@ __all__ = [
     "FaulhaberForm",
     "Polynomial",
     "Rational",
-    "T_AS_N_POLY",
     "VerificationReport",
     "as_rational",
     "bernoulli",

@@ -39,8 +39,10 @@ bounds, the lowest allowed index and the sweep that yields one
 ``scripts/run_verification.py`` both run suites from it.
 
 All operations are deterministic and observationally pure.  The shared
-Bernoulli table and the memoized T-forms only ever grow, under a lock,
-so concurrent callers always observe consistent values.
+Bernoulli table only ever grows, under a lock.  The memoized T-forms and
+S_m sit in ``functools.cache``, which holds no lock: two threads that
+miss together may both build a value, and the values are equal, so
+concurrent callers always observe consistent values.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from functools import cache
 from math import lcm
 
 from .exact_arith import Rational, binomial
-from .polynomial import Polynomial, monomial, poly_combination, poly_from_numerators, t_to_n
+from .polynomial import Polynomial, _Record, monomial, poly_combination, poly_from_numerators, t_to_n
 
 
 class BernoulliTable:
@@ -116,45 +118,6 @@ def power_sum_poly_n(m: int) -> Polynomial:
     ]
     # nums[j] belongs to n^(m+1-j); the constant term is 0.
     return poly_from_numerators([0] + nums[::-1], common * order, "n")
-
-
-class _Record:
-    """Base of the immutable records below, with frozen-dataclass manners.
-
-    The fields are the subclass's ``__slots__``, set once by ``__init__``
-    in that order; assignment raises AttributeError, and equality (same
-    class only), hashing, repr and pickling go by the fields.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
 
 class FaulhaberForm(_Record):
@@ -251,12 +214,14 @@ def faulhaber_coefficients(m: int) -> list[Rational]:
     return list(reversed(power_sum_tform(m).p.coeffs))
 
 
+def _t_route(m: int) -> Polynomial:
+    """S_{2m+1} in n by the T-route: P_m(T) * T^2 with T = (n^2+n)/2 substituted."""
+    return t_to_n(monomial(1, 2, "T") * power_sum_tform(m).p)
+
+
 def verify_faulhaber(m: int) -> VerificationReport:
     """Cross-check the T-route against the Bernoulli route for S_{2m+1}."""
-    form = power_sum_tform(m)
-    lhs = t_to_n(monomial(1, 2, "T") * form.p)
-    rhs = power_sum_poly_n(2 * m + 1)
-    return VerificationReport(f"faulhaber m={m}", lhs, rhs)
+    return VerificationReport(f"faulhaber m={m}", _t_route(m), power_sum_poly_n(2 * m + 1))
 
 
 def infer_odd_bernoulli(m: int) -> Rational:
@@ -267,9 +232,7 @@ def infer_odd_bernoulli(m: int) -> Rational:
     of P(T) * T^2 in n has no linear term at all.  Negating the linear
     coefficient found on the T-route therefore *is* B_{2m+1}.
     """
-    form = power_sum_tform(m)
-    expanded = t_to_n(monomial(1, 2, "T") * form.p)
-    return -expanded.coefficient(1)
+    return -_t_route(m).coefficient(1)
 
 
 class Suite(_Record):

@@ -7,11 +7,17 @@ is positive, it shares no common factor with all the numerators, and the
 highest stored numerator is nonzero; the zero polynomial is ``((), 1)``.
 Arithmetic therefore runs on plain ints and ends in one gcd pass per
 result, instead of one reduced Fraction per coefficient per operation.
-``poly_combination`` extends that to a whole integer linear combination
-(sum of c_i * p_i) / d: one lcm of the denominators, int accumulation,
-one gcd pass.  The layout is private to this module: callers see
-``coeffs``, an ascending tuple of Fractions built on first use and then
-cached, and build from int numerators through ``poly_from_numerators``.
+The layout is private to this module: callers see ``coeffs``, an
+ascending tuple of Fractions built on first use and then cached.
+
+Every polynomial is built by ``_canonical``, the one function that
+turns an int layout into a ``Polynomial``, so ``==`` and ``hash`` may
+compare layouts.  The constructor brings rational coefficients over
+their lcm first; ``monomial`` and ``poly_from_numerators`` pass one term
+or int numerators.  The arithmetic has two kernels: the convolution in
+``*``, and ``poly_combination``, the integer linear combination
+(sum of c_i * p_i) / d -- one lcm, int accumulation, one gcd pass --
+which ``+``, ``-``, unary ``-`` and ``poly_scale`` each are.
 
 Every polynomial carries a variable tag, ``"n"`` or ``"T"``: the first
 is the summation limit of a power sum, the second the triangular number
@@ -22,7 +28,8 @@ the one sanctioned bridge between them.
 
 Polynomials are immutable (assignment raises AttributeError): equality
 is structural (same tag, same coefficients), instances are hashable, and
-sharing across threads is safe.
+sharing across threads is safe.  ``_Record`` is the one frozen-value
+base: ``Polynomial`` and the records of ``faulhaber`` all derive from it.
 
 Display order is highest degree first, e.g. ``1/4*n^4 + 1/2*n^3 +
 1/4*n^2``; this exact grammar is what the CLI prints and what golden
@@ -39,27 +46,62 @@ from .exact_arith import Rational, as_rational
 VARIABLES = ("n", "T")
 
 
-class Polynomial:
-    """``Polynomial(coeffs, var)``: coefficients ascending by degree, tag ``"n"`` or ``"T"``."""
+class _Record:
+    """Base of the immutable value classes, with frozen-dataclass manners.
 
-    __slots__ = ("_nums", "_den", "var", "_coeffs")
+    The fields are the subclass's ``__slots__``, set once by ``__init__``
+    in that order; assignment raises AttributeError, and equality (same
+    class only), hashing, repr and pickling go by the fields.
+    """
 
-    def __init__(self, coeffs: Iterable[int | str | Rational], var: str) -> None:
-        _check_var(var)
-        rationals = [as_rational(c) for c in coeffs]
-        while rationals and rationals[-1] == 0:
-            rationals.pop()
-        # Over the lcm of reduced denominators the numerators are already
-        # coprime to it, so no gcd pass is needed here.
-        den = lcm(*[q.denominator for q in rationals])
-        nums = tuple([q.numerator * (den // q.denominator) for q in rationals])
-        _init(self, nums, den, var, tuple(rationals))
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Polynomial(_Record):
+    """``Polynomial(coeffs, var)``: coefficients ascending by degree, tag ``"n"`` or ``"T"``.
+
+    ``_coeffs`` caches the Fractions of ``coeffs`` and is no value field,
+    so equality, hashing, repr and pickling are defined here, by the layout.
+    """
+
+    __slots__ = ("_nums", "_den", "var", "_coeffs")
+
+    def __new__(cls, coeffs: Iterable[int | str | Rational], var: str) -> "Polynomial":
+        _check_var(var)
+        rationals = [as_rational(c) for c in coeffs]
+        den = lcm(*[q.denominator for q in rationals])
+        return _canonical([q.numerator * (den // q.denominator) for q in rationals], den, var)
+
+    def __init__(self, coeffs: Iterable[int | str | Rational], var: str) -> None:
+        """Nothing left to set: ``__new__`` built the instance through ``_canonical``."""
 
     def __reduce__(self):
         return Polynomial, (self.coeffs, self.var)
@@ -106,7 +148,7 @@ class Polynomial:
         return poly_combination([(1, self), (1, other)], self.var)
 
     def __neg__(self) -> "Polynomial":
-        return _make(tuple(-c for c in self._nums), self._den, self.var)
+        return poly_combination([(-1, self)], self.var)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -117,12 +159,11 @@ class Polynomial:
         if isinstance(other, Polynomial):
             self._require_same_var(other)
             a, b = self._nums, other._nums
-            if not a or not b:
-                return _make((), 1, self.var)
             if len(a) > len(b):
                 a, b = b, a
-            # Outer loop over the shorter factor: powers of T_AS_N_POLY
-            # multiply a long polynomial by a three-term one.
+            # Outer loop over the shorter factor, skipping its zeros: the
+            # one product the program forms is T^2 * P, and two of the
+            # three entries of T^2 are zero.
             prod = [0] * (len(a) + len(b) - 1)
             for i, x in enumerate(a):
                 if x:
@@ -138,7 +179,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError(f"polynomial exponent must be >= 0, got {exponent}")
-        result = _make((1,), 1, self.var)
+        result = _canonical([1], 1, self.var)
         for _ in range(exponent):
             result = result * self
         return result
@@ -171,30 +212,21 @@ def _check_var(var: str) -> None:
         raise ValueError(f"unknown variable tag {var!r}; expected one of {VARIABLES}")
 
 
-def _init(p: Polynomial, nums: tuple[int, ...], den: int, var: str, coeffs: tuple | None) -> None:
-    setter = object.__setattr__
-    setter(p, "_nums", nums)
-    setter(p, "_den", den)
-    setter(p, "var", var)
-    setter(p, "_coeffs", coeffs)
-
-
-def _make(nums: tuple[int, ...], den: int, var: str) -> Polynomial:
-    """Wrap numerators and denominator that are already canonical."""
-    p = object.__new__(Polynomial)
-    _init(p, nums, den, var, None)
-    return p
-
-
 def _canonical(nums: list[int], den: int, var: str) -> Polynomial:
-    """Strip trailing zeros and divide out the common factor of den (> 0) and nums."""
+    """The polynomial sum of (nums[i] / den) * var**i, for den > 0, in canonical layout.
+
+    Strips trailing zeros and divides out the common factor of den and
+    nums.  Every polynomial is built here, so every layout is canonical.
+    """
     while nums and not nums[-1]:
         nums.pop()
     g = gcd(den, *nums)
     if g != 1:
         nums = [c // g for c in nums]
         den //= g
-    return _make(tuple(nums), den, var)
+    p = object.__new__(Polynomial)
+    _Record.__init__(p, tuple(nums), den, var, None)
+    return p
 
 
 def monomial(coeff: int | Rational, degree: int, var: str) -> Polynomial:
@@ -203,9 +235,7 @@ def monomial(coeff: int | Rational, degree: int, var: str) -> Polynomial:
         raise ValueError(f"monomial degree must be >= 0, got {degree}")
     _check_var(var)
     c = as_rational(coeff)
-    if not c:
-        return _make((), 1, var)
-    return _make((0,) * degree + (c.numerator,), c.denominator, var)
+    return _canonical([0] * degree + [c.numerator], c.denominator, var)
 
 
 def poly_from_numerators(nums: Iterable[int], den: int, var: str) -> Polynomial:
@@ -243,8 +273,7 @@ def poly_combination(terms: Iterable[tuple[int, Polynomial]], var: str, divisor:
 def poly_scale(c: int | Rational, p: Polynomial) -> Polynomial:
     """Multiply every coefficient by the rational c."""
     c = as_rational(c)
-    num = c.numerator
-    return _canonical([a * num for a in p._nums], p._den * c.denominator, p.var)
+    return poly_combination([(c.numerator, p)], p.var, c.denominator)
 
 
 def poly_eval(p: Polynomial, x: int | Rational) -> Rational:
@@ -260,10 +289,6 @@ def poly_eval(p: Polynomial, x: int | Rational) -> Rational:
     return Rational(acc * b, p._den * scale)
 
 
-# T as a polynomial in n: the triangular number n(n+1)/2.
-T_AS_N_POLY = Polynomial((0, Rational(1, 2), Rational(1, 2)), "n")
-
-
 def t_to_n(p: Polynomial) -> Polynomial:
     """Substitute T = (n^2+n)/2 into a T-basis polynomial.
 
@@ -276,7 +301,7 @@ def t_to_n(p: Polynomial) -> Polynomial:
         raise ValueError(f"t_to_n needs a T-basis polynomial, got variable {p.var!r}")
     nums = p._nums
     if not nums:
-        return _make((), 1, "n")
+        return _canonical([], 1, "n")
     d = len(nums) - 1
     acc = [nums[d]]
     for k in range(d - 1, -1, -1):

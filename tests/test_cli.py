@@ -1,7 +1,9 @@
 """Golden output, exit codes, and JSON round-trips for the CLI."""
 
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +280,19 @@ class TestDeterminism:
 
     def test_json_identical_across_runs(self, cli):
         assert cli("bernoulli", "8", "--format", "json") == cli("bernoulli", "8", "--format", "json")
+
+
+class TestBenchmarkGoldens:
+    def test_every_request_replays_byte_identical(self, cli):
+        """Each request of perfbench/golden.json gives its recorded exit code and stdout SHA-256."""
+        golden = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text())
+        assert golden
+        mismatched = []
+        for key, expected in golden.items():
+            code, out, _ = cli(*([] if key == "<no arguments>" else key.split(" ")))
+            if [code, hashlib.sha256(out.encode()).hexdigest()] != expected:
+                mismatched.append(key)
+        assert mismatched == []
 
 
 class TestExitCodes:

@@ -350,7 +350,7 @@ class TestRecords:
         assert repr(form) == f"FaulhaberForm(m=2, p={form.p!r})"
         assert repr(report) == f"VerificationReport(label='x', lhs={report.lhs!r}, rhs={report.rhs!r})"
         assert repr(suite).startswith("Suite(defaults={'max': 40}, first=2, sweep=<function")
-        for record, field in ((form, "m"), (report, "label"), (suite, "first")):
+        for record, field in ((form, "m"), (report, "label"), (suite, "first"), (form.p, "var")):
             with pytest.raises(AttributeError):
                 setattr(record, field, 0)
             with pytest.raises(AttributeError):

@@ -12,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from powersums.polynomial import (
-    T_AS_N_POLY,
     Polynomial,
     monomial,
     poly_combination,
@@ -21,6 +20,10 @@ from powersums.polynomial import (
     poly_scale,
     t_to_n,
 )
+
+# T as a polynomial in n, the triangular number n(n+1)/2: the inner
+# polynomial of the composition that t_to_n computes.
+T_AS_N_POLY = Polynomial((0, Fraction(1, 2), Fraction(1, 2)), "n")
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -379,7 +382,9 @@ class TestCanonicalForm:
     def test_zero_polynomial_layout(self):
         for zero in (Polynomial((), "n"), Polynomial((0, Fraction(0, 5)), "n"),
                      poly_scale(0, T_AS_N_POLY), T_AS_N_POLY - T_AS_N_POLY, monomial(0, 4, "n"),
-                     poly_combination([(1, T_AS_N_POLY), (-1, T_AS_N_POLY)], "n", 3)):
+                     poly_combination([(1, T_AS_N_POLY), (-1, T_AS_N_POLY)], "n", 3),
+                     Polynomial((), "T") * monomial(3, 2, "T"), monomial(3, 2, "T") * Polynomial((), "T"),
+                     -Polynomial((), "n"), t_to_n(Polynomial((), "T"))):
             assert (zero._nums, zero._den) == ((), 1)
 
     @given(coeff_lists, coeff_lists, wide_rationals, st.integers(0, 3))
