@@ -50,7 +50,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Iterator
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 
 from .exact_arith import Rational, binomial
 from .polynomial import Polynomial, _Record, monomial, poly_combination, poly_from_numerators, t_to_n
@@ -61,12 +61,21 @@ class BernoulliTable:
 
     Values are computed lazily from the defining recurrence
     B_n = -(sum_{k=0}^{n-1} C(n+1, k) * B_k) / (n+1) and retained for
-    the lifetime of the table.  Extension happens under a lock, so a
-    table may be shared by concurrent readers.
+    the lifetime of the table.  The recurrence runs on ints over one
+    common denominator D, the lcm of the stored denominators: beside each
+    B_k the table keeps the int B_k * D, so B_n is one integer sum
+    divided by D * (n+1), reduced by a single gcd.  When B_n's
+    denominator brings a prime D lacks (only at n = p - 1), the stored
+    ints are multiplied once by the missing factor.  Odd indices go
+    through the same full sum; their zeros are computed, not assumed.
+    Extension happens under a lock, so a table may be shared by
+    concurrent readers.
     """
 
     def __init__(self) -> None:
         self._values: list[Rational] = [Rational(1)]
+        self._scaled: list[int] = [1]  # B_k * self._den
+        self._den = 1
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -79,8 +88,14 @@ class BernoulliTable:
             with self._lock:
                 while len(self._values) <= k:
                     n = len(self._values)
-                    acc = sum(binomial(n + 1, j) * self._values[j] for j in range(n))
-                    self._values.append(-acc / (n + 1))
+                    acc = sum(binomial(n + 1, j) * b for j, b in enumerate(self._scaled))
+                    value = Rational(-acc, self._den * (n + 1))
+                    missing = value.denominator // gcd(value.denominator, self._den)
+                    if missing > 1:
+                        self._scaled = [b * missing for b in self._scaled]
+                        self._den *= missing
+                    self._scaled.append(value.numerator * (self._den // value.denominator))
+                    self._values.append(value)
         return self._values[k]
 
 

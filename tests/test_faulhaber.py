@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import pickle
+import random
 import threading
 from fractions import Fraction
 
@@ -41,6 +42,14 @@ def lagrange_eval(points, x):
     return total
 
 
+def fraction_recurrence(top):
+    """B_0..B_top by the defining recurrence in plain Fraction arithmetic."""
+    values = [Fraction(1)]
+    for n in range(1, top + 1):
+        values.append(-sum(binomial(n + 1, k) * values[k] for k in range(n)) / (n + 1))
+    return values
+
+
 class TestBernoulli:
     def test_first_values(self):
         assert bernoulli(0) == 1
@@ -71,6 +80,50 @@ class TestBernoulli:
         table.get(200)
         for n in range(1, 201):
             assert sum(binomial(n + 1, k) * table.get(k) for k in range(n + 1)) == 0
+
+    def test_denominators_follow_von_staudt_clausen(self):
+        # den(B_2k) is the product of the primes p with (p - 1) | 2k: an
+        # oracle that shares nothing with the recurrence.
+        primes = [p for p in range(2, 502) if all(p % d for d in range(2, int(p**0.5) + 1))]
+        assert bernoulli(1).denominator == 2
+        for even in range(2, 501, 2):
+            expected = 1
+            for p in primes:
+                if even % (p - 1) == 0:
+                    expected *= p
+            assert bernoulli(even).denominator == expected, even
+
+    def test_every_index_runs_the_full_sum(self, monkeypatch):
+        # B_n costs n binomials, odd n included: no index is skipped or
+        # assumed zero.
+        calls = []
+
+        def counting(n, k):
+            calls.append((n, k))
+            return binomial(n, k)
+
+        monkeypatch.setattr(faulhaber, "binomial", counting)
+        top = 120
+        value = BernoulliTable().get(top)
+        assert len(calls) == top * (top + 1) // 2
+        assert value == fraction_recurrence(top)[top]
+
+    @pytest.mark.parametrize("order", ["one step", "one at a time", "shuffled"])
+    def test_growth_order_does_not_change_values(self, order):
+        # Each new prime of a denominator rescales the stored ints; however
+        # the table grows, every value equals the plain Fraction recurrence.
+        top = 300
+        table = BernoulliTable()
+        if order == "one step":
+            table.get(top)
+        else:
+            indices = list(range(top + 1))
+            if order == "shuffled":
+                random.Random(2018).shuffle(indices)
+            for k in indices:
+                table.get(k)
+        assert len(table) == top + 1
+        assert [table.get(k) for k in range(top + 1)] == fraction_recurrence(top)
 
     def test_concurrent_extension_is_consistent(self):
         table = BernoulliTable()
