@@ -8,7 +8,7 @@ highest stored numerator is nonzero; the zero polynomial is ``((), 1)``.
 Arithmetic therefore runs on plain ints and ends in one gcd pass per
 result, instead of one reduced Fraction per coefficient per operation.
 The layout is private to this module: callers see ``coeffs``, an
-ascending tuple of Fractions built on first use and then cached.
+ascending tuple of Fractions.
 
 Every polynomial is built by ``_canonical``, the one function that
 turns an int layout into a ``Polynomial``, so ``==`` and ``hash`` may
@@ -26,10 +26,14 @@ silent coercion -- the two bases mean different things and confusing
 them must not pass quietly.  Substituting T = (n^2+n)/2 (``t_to_n``) is
 the one sanctioned bridge between them.
 
-Polynomials are immutable (assignment raises AttributeError): equality
-is structural (same tag, same coefficients), instances are hashable, and
-sharing across threads is safe.  ``_Record`` is the one frozen-value
-base: ``Polynomial`` and the records of ``faulhaber`` all derive from it.
+Polynomials are immutable (assignment raises AttributeError, and no
+read writes anything): equality is structural (same tag, same
+coefficients), instances are hashable, and sharing across threads is
+safe.  ``_Record`` is the one frozen-value base: every value class,
+``Polynomial`` and the records of ``faulhaber`` alike, takes ``==`` and
+``hash`` from it, by its fields.  A record is hashable only when its
+fields are: a ``Suite`` holds a dict, so ``hash(SUITES["pascal"])``
+raises TypeError.
 
 Display order is highest degree first, e.g. ``1/4*n^4 + 1/2*n^3 +
 1/4*n^2``; this exact grammar is what the CLI prints and what golden
@@ -88,11 +92,11 @@ class _Record:
 class Polynomial(_Record):
     """``Polynomial(coeffs, var)``: coefficients ascending by degree, tag ``"n"`` or ``"T"``.
 
-    ``_coeffs`` caches the Fractions of ``coeffs`` and is no value field,
-    so equality, hashing, repr and pickling are defined here, by the layout.
+    The fields are the canonical layout and the tag, so ``==`` and
+    ``hash`` are ``_Record``'s; repr and pickling go by ``coeffs`` instead.
     """
 
-    __slots__ = ("_nums", "_den", "var", "_coeffs")
+    __slots__ = ("_nums", "_den", "var")
 
     def __new__(cls, coeffs: Iterable[int | str | Rational], var: str) -> "Polynomial":
         _check_var(var)
@@ -109,12 +113,8 @@ class Polynomial(_Record):
     @property
     def coeffs(self) -> tuple[Rational, ...]:
         """Coefficients ascending by degree, as reduced Fractions; no trailing zero."""
-        coeffs = self._coeffs
-        if coeffs is None:
-            den = self._den
-            coeffs = tuple(Rational(c, den) for c in self._nums)
-            object.__setattr__(self, "_coeffs", coeffs)
-        return coeffs
+        den = self._den
+        return tuple([Rational(c, den) for c in self._nums])
 
     @property
     def degree(self) -> int:
@@ -126,14 +126,6 @@ class Polynomial(_Record):
         if k < 0:
             raise ValueError(f"coefficient index must be >= 0, got {k}")
         return Rational(self._nums[k], self._den) if k < len(self._nums) else Rational(0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.var == other.var and self._den == other._den and self._nums == other._nums
-
-    def __hash__(self) -> int:
-        return hash((self.var, self._nums, self._den))
 
     def __repr__(self) -> str:
         return f"Polynomial(coeffs={self.coeffs!r}, var={self.var!r})"
@@ -159,16 +151,10 @@ class Polynomial(_Record):
         if isinstance(other, Polynomial):
             self._require_same_var(other)
             a, b = self._nums, other._nums
-            if len(a) > len(b):
-                a, b = b, a
-            # Outer loop over the shorter factor, skipping its zeros: the
-            # one product the program forms is T^2 * P, and two of the
-            # three entries of T^2 are zero.
             prod = [0] * (len(a) + len(b) - 1)
             for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        prod[j] += x * y
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
             return _canonical(prod, self._den * other._den, self.var)
         if isinstance(other, (int, Rational)):
             return poly_scale(other, self)
@@ -225,7 +211,7 @@ def _canonical(nums: list[int], den: int, var: str) -> Polynomial:
         nums = [c // g for c in nums]
         den //= g
     p = object.__new__(Polynomial)
-    _Record.__init__(p, tuple(nums), den, var, None)
+    _Record.__init__(p, tuple(nums), den, var)
     return p
 
 

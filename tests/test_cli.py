@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -485,6 +486,18 @@ cli.main(sys.argv[1:])
         assert (proc.returncode, err) == (0, b"")
         coefficient = json.loads(out)["polynomial"]["coefficients"][0]
         assert coefficient == {"num": "1" + "0" * 5000, "den": "1"}
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+    def test_in_process_run_keeps_the_int_str_limit(self, cli):
+        # Only main lifts the limit; pin a known one, since an earlier
+        # in-process main may have left this interpreter's at 0.
+        outer = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert cli("bernoulli", "5") == (0, BERNOULLI_5_GOLDEN, "")
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(outer)
 
     def test_import_loads_no_crash_or_json_machinery(self, popen):
         # -S keeps site-packages .pth files from importing these first.

@@ -141,6 +141,21 @@ class TestBernoulli:
         assert len(table) == 81
         assert results[0] == bernoulli(80)
 
+    def test_concurrent_memoised_forms_are_consistent(self):
+        power_sum_tform.cache_clear()
+        power_sum_poly_n.cache_clear()
+        results = [None] * 8
+
+        def worker(slot):
+            results[slot] = (str(power_sum_tform(40).p), power_sum_poly_n(41))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert all(r == results[0] for r in results)
+
 
 class TestPowerSumPolynomial:
     def test_gauss_closed_form(self):

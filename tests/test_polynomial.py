@@ -413,6 +413,15 @@ class TestCanonicalForm:
             p.var = "T"
         with pytest.raises(AttributeError):
             del p.var
-        assert p.coeffs is p.coeffs
+        assert p.coeffs == p.coeffs == (1, Fraction(2, 3))
         assert copy.deepcopy(p) == p
         assert pickle.loads(pickle.dumps(p)) == p
+
+    def test_reading_a_polynomial_writes_nothing(self):
+        # Every slot is a value field set once by _canonical; no read fills
+        # a cache, so sharing a polynomial across threads needs no lock.
+        p = Polynomial((1, Fraction(2, 3), -5), "T")
+        before = [getattr(p, s) for s in type(p).__slots__]
+        p.coeffs, p.coefficient(1), p.degree, str(p), repr(p), hash(p)
+        assert p == Polynomial(p.coeffs, "T") == copy.deepcopy(p) == pickle.loads(pickle.dumps(p))
+        assert [getattr(p, s) for s in type(p).__slots__] == before
