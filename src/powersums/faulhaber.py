@@ -7,7 +7,11 @@ T = n(n+1)/2:
 * Bernoulli numbers.  B_0 = 1 and sum_{k=0}^{n} C(n+1, k) * B_k = 0 for
   n >= 1, which pins B_1 = -1/2 and yields S_m(n) as the degree-(m+1)
   polynomial whose coefficient of n^(m+1-j) is
-  (-1)^j * C(m+1, j) * B_j / (m+1).
+  (-1)^j * C(m+1, j) * B_j / (m+1).  The table does not run that
+  recurrence: it reads each even B_n off the zigzag number E_{n-1} of
+  the Seidel boustrophedon triangle, by integer additions alone, and
+  lists the odd ones past B_1 as 0.  The recurrence stays the oracle the
+  tests and ``scripts/run_verification.py`` recheck it against.
 
 * The telescoping ladder.  Summing the telescoped differences
   (T_k)^m - (T_{k-1})^m = (k/2)^m * ((k+1)^m - (k-1)^m) and expanding by
@@ -30,7 +34,8 @@ Comparing the two representations coefficient by coefficient is a
 mechanical proof that the odd Bernoulli numbers B_3, B_5, ... vanish:
 expanding P(T) * T^2 in n produces no linear term, yet the Bernoulli
 form says the linear coefficient is -B_{2m+1}.  ``infer_odd_bernoulli``
-performs exactly that extraction.
+performs exactly that extraction, and it is what the table's listed
+zeros rest on.
 
 ``SUITES`` is the one registry of verification suites: for each of
 pascal, faulhaber, odd-bernoulli and telescoping it holds the default
@@ -50,7 +55,8 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Iterator
 from functools import cache
-from math import gcd, lcm
+from itertools import accumulate
+from math import lcm
 
 from .exact_arith import Rational, binomial
 from .polynomial import Polynomial, _Record, monomial, poly_combination, poly_from_numerators, t_to_n
@@ -59,23 +65,23 @@ from .polynomial import Polynomial, _Record, monomial, poly_combination, poly_fr
 class BernoulliTable:
     """Memoized B_0, B_1, ... under the B_1 = -1/2 convention.
 
-    Values are computed lazily from the defining recurrence
-    B_n = -(sum_{k=0}^{n-1} C(n+1, k) * B_k) / (n+1) and retained for
-    the lifetime of the table.  The recurrence runs on ints over one
-    common denominator D, the lcm of the stored denominators: beside each
-    B_k the table keeps the int B_k * D, so B_n is one integer sum
-    divided by D * (n+1), reduced by a single gcd.  When B_n's
-    denominator brings a prime D lacks (only at n = p - 1), the stored
-    ints are multiplied once by the missing factor.  Odd indices go
-    through the same full sum; their zeros are computed, not assumed.
+    Values come from the zigzag numbers E_0, E_1, E_2, ... = 1, 1, 1, 2,
+    5, 16, ..., built by the Seidel boustrophedon triangle and retained
+    for the lifetime of the table.  Beside its values the table keeps one
+    row of the triangle, row len - 1, whose last entry is E_{len-1}.
+    Each new index n moves that row forward once: a 0, then the running
+    sums of the old row read backwards, n integer additions and no
+    binomial.  The even values are then
+    B_n = (-1)^(n/2 - 1) * n * E_{n-1} / (2^n * (2^n - 1)), reduced by a
+    single gcd; B_1 = -1/2, and B_3 = B_5 = ... = 0 is listed, not
+    computed: ``infer_odd_bernoulli`` proves it by the T-route.
     Extension happens under a lock, so a table may be shared by
     concurrent readers.
     """
 
     def __init__(self) -> None:
         self._values: list[Rational] = [Rational(1)]
-        self._scaled: list[int] = [1]  # B_k * self._den
-        self._den = 1
+        self._row: list[int] = [1]  # boustrophedon row len - 1, ending in E_{len-1}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -88,13 +94,12 @@ class BernoulliTable:
             with self._lock:
                 while len(self._values) <= k:
                     n = len(self._values)
-                    acc = sum(binomial(n + 1, j) * b for j, b in enumerate(self._scaled))
-                    value = Rational(-acc, self._den * (n + 1))
-                    missing = value.denominator // gcd(value.denominator, self._den)
-                    if missing > 1:
-                        self._scaled = [b * missing for b in self._scaled]
-                        self._den *= missing
-                    self._scaled.append(value.numerator * (self._den // value.denominator))
+                    if n % 2 == 0:
+                        num = n * self._row[-1]  # n * E_{n-1}; positive for n = 2 mod 4
+                        value = Rational(num if n % 4 else -num, ((1 << n) - 1) << n)
+                    else:
+                        value = Rational(-1, 2) if n == 1 else Rational(0)
+                    self._row = list(accumulate(reversed(self._row), initial=0))
                     self._values.append(value)
         return self._values[k]
 
@@ -280,6 +285,9 @@ SUITES: dict[str, Suite] = {
     "faulhaber": Suite(
         {"max": 40}, 1, lambda top: (_outcome(verify_faulhaber(m)) for m in range(1, top + 1))
     ),
+    # The table's odd zeros are structural, listed rather than computed, so
+    # this suite's proof rests on infer_odd_bernoulli, the T-route; the
+    # table's entry is only checked to agree with it.
     "odd-bernoulli": Suite(
         {"max": 40},
         1,

@@ -171,19 +171,20 @@ class Polynomial(_Record):
         return result
 
     def __str__(self) -> str:
-        coeffs = self.coeffs
-        if not coeffs:
+        nums, den = self._nums, self._den
+        if not nums:
             return "0"
         parts = []
-        for deg in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[deg]
-            if c == 0:
+        for deg in range(len(nums) - 1, -1, -1):
+            c = nums[deg]
+            if not c:
                 continue
-            magnitude = abs(c)
+            g = gcd(c, den)
+            magnitude = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
             if deg == 0:
-                body = str(magnitude)
+                body = magnitude
             else:
-                head = "" if magnitude == 1 else f"{magnitude}*"
+                head = "" if magnitude == "1" else f"{magnitude}*"
                 power = self.var if deg == 1 else f"{self.var}^{deg}"
                 body = head + power
             if not parts:

@@ -18,6 +18,17 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 SCRIPTS_DIR = SRC_DIR.parent / "scripts"
 
 
+@pytest.fixture(autouse=True)
+def _restore_int_str_limit():
+    """Put back the int-to-str digit limit that an in-process ``cli.main`` lifts."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
 @pytest.fixture
 def cli():
     """Invoke the CLI in-process; returns (exit_code, stdout, stderr)."""

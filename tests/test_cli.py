@@ -487,10 +487,27 @@ cli.main(sys.argv[1:])
         coefficient = json.loads(out)["polynomial"]["coefficients"][0]
         assert coefficient == {"num": "1" + "0" * 5000, "den": "1"}
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_bernoulli_past_the_default_digit_limit(self, cli_subprocess, fmt):
+        # B_2064 is the first value past 4300 digits; B_2100's numerator has 4419.
+        proc = cli_subprocess("--format", fmt, "bernoulli", "2100")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(0)  # to render the expected value; restored after the test
+        last = bernoulli(2100)
+        if fmt == "text":
+            lines = proc.stdout.splitlines()
+            assert len(lines) == 2101
+            assert lines[-1] == f"2100\t{last}"
+        else:
+            values = json.loads(proc.stdout)["values"]
+            assert len(values) == 2101
+            expected = {"num": str(last.numerator), "den": str(last.denominator)}
+            assert values[-1] == {"index": 2100, "value": expected}
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
     def test_in_process_run_keeps_the_int_str_limit(self, cli):
-        # Only main lifts the limit; pin a known one, since an earlier
-        # in-process main may have left this interpreter's at 0.
+        # Only main lifts the limit; pin a nonzero one so a lift would show.
         outer = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
