@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import subprocess
@@ -27,6 +28,15 @@ def _restore_int_str_limit():
     limit = sys.get_int_max_str_digits()
     yield
     sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze_gc():
+    """Thaw the heap that an in-process ``cli.main`` froze before its SystemExit."""
+    frozen = gc.get_freeze_count()
+    yield
+    if gc.get_freeze_count() != frozen:
+        gc.unfreeze()
 
 
 @pytest.fixture

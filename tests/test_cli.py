@@ -1,5 +1,6 @@
 """Golden output, exit codes, and JSON round-trips for the CLI."""
 
+import gc
 import hashlib
 import json
 import sys
@@ -461,6 +462,26 @@ class TestSubprocess:
         assert first == b"PASS telescoping m=1 N=1\n"
         assert err == b""
 
+    def test_shutdown_still_runs_atexit_handlers(self, popen, cli):
+        child = (
+            "import atexit, sys\n"
+            "from powersums import cli\n"
+            "atexit.register(lambda: sys.stderr.write('atexit ran\\n'))\n"
+            "cli.main(['bernoulli', '400'])\n"
+        )
+        proc = popen("-c", child)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"atexit ran\n")
+        assert out.decode() == cli("bernoulli", "400")[1]
+
+    def test_dev_mode_exit_is_silent(self, popen, cli):
+        # -X dev shows ResourceWarnings and unraisable exceptions at exit.
+        argv = ("--format", "json", "verify", "faulhaber", "--max", "5")
+        proc = popen("-X", "dev", "-m", "powersums", *argv)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
+        assert out.decode() == cli(*argv)[1]
+
 
 class TestProcessEntryPoint:
     # Run main in a child, with power_sum_poly_n patched to return a
@@ -515,6 +536,19 @@ cli.main(sys.argv[1:])
             assert sys.get_int_max_str_digits() == 4300
         finally:
             sys.set_int_max_str_digits(outer)
+
+    def test_in_process_run_never_freezes(self, cli):
+        # Only main freezes the heap, and only on its way out.
+        frozen = gc.get_freeze_count()
+        assert cli("tform", "5")[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_main_freezes_the_heap_before_exit(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            powersums.cli.main(["bernoulli", "5"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == BERNOULLI_5_GOLDEN
+        assert gc.get_freeze_count() > 0  # thawed by conftest after the test
 
     def test_import_loads_no_crash_or_json_machinery(self, popen):
         # -S keeps site-packages .pth files from importing these first.
