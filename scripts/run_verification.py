@@ -11,8 +11,8 @@ import argparse
 import signal
 import sys
 import time
+from math import comb
 
-from powersums.exact_arith import binomial
 from powersums.faulhaber import SUITES, bernoulli
 
 
@@ -44,7 +44,7 @@ def main() -> int:
     start = time.monotonic()
     top = bounds["table_max"]
     values = [bernoulli(k) for k in range(top + 1)]
-    ok = all(sum(binomial(n + 1, k) * values[k] for k in range(n + 1)) == 0 for n in range(1, top + 1))
+    ok = all(sum(comb(n + 1, k) * values[k] for k in range(n + 1)) == 0 for n in range(1, top + 1))
     report("bernoulli", ok, top + 1, start)
 
     for name, suite in SUITES.items():

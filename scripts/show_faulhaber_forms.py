@@ -25,7 +25,7 @@ def main() -> int:
     print(f"{'m':>3} {'exponent':>9}  factored form")
     for m in range(1, args.max + 1):
         form = power_sum_tform(m)
-        print(f"{m:>3} {2 * m + 1:>9}  ({form.p}) * T^2")
+        print(f"{m:>3} {2 * m + 1:>9}  {form}")
         coeffs = " ".join(str(c) for c in faulhaber_coefficients(m))
         print(f"{'':>3} {'':>9}  descending coefficients: {coeffs}")
     return 0

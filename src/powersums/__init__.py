@@ -6,7 +6,7 @@ number T = n(n+1)/2), and mechanically verifies the identities that
 connect them -- including the vanishing of the odd Bernoulli numbers.
 """
 
-from .exact_arith import Rational, as_rational, binomial
+from .exact_arith import Rational, as_rational
 from .faulhaber import (
     BernoulliTable,
     FaulhaberForm,
@@ -39,7 +39,6 @@ __all__ = [
     "VerificationReport",
     "as_rational",
     "bernoulli",
-    "binomial",
     "faulhaber_coefficients",
     "infer_odd_bernoulli",
     "monomial",

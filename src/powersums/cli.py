@@ -24,6 +24,7 @@ import gc
 import os
 import re
 import sys
+import threading
 from collections.abc import Iterable
 from contextlib import redirect_stderr, redirect_stdout
 from io import TextIOBase
@@ -45,6 +46,8 @@ _BOUNDS = tuple(dict.fromkeys(key for suite in SUITES.values() for key in suite.
 # A command's result: exit code, JSON payload (without "command") and text
 # lines.  Costly lines are generators, so JSON output never formats them.
 _Result = tuple[int, dict[str, object], Iterable[str]]
+# Held while a parse redirects the process-wide sys.stdout and sys.stderr.
+_REDIRECT_LOCK = threading.Lock()
 
 
 def _uint(minimum: int):
@@ -72,21 +75,22 @@ def _json_value(value: object) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The one --format option, shared by the root and every subcommand so it
+    # may come before or after the command.  SUPPRESS leaves it unset unless
+    # given, so a subcommand never clobbers a value the root parsed; ``run``
+    # reads an absent one as text.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS,
+                        help="output format (default: text)")
     parser = argparse.ArgumentParser(
         prog="powersums",
         description="Exact power-sum polynomials, Bernoulli numbers, and T-basis forms.",
+        parents=[output],
     )
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format (default: text)")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        # Allow --format after the subcommand too.  SUPPRESS keeps the
-        # subparser from clobbering a value parsed by the root parser.
-        p.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS,
-                       help="output format (default: text)")
-        return p
+        return sub.add_parser(name, help=help_text, description=help_text, parents=[output])
 
     p_bernoulli = add("bernoulli", "print B_0..B_K, one 'index<TAB>value' line per number")
     p_bernoulli.add_argument("k", type=_uint(0), metavar="K", help="largest index, K >= 0")
@@ -156,13 +160,13 @@ def _cmd_powersum(args: argparse.Namespace) -> _Result:
         return 0, {"exponent": args.exponent, "basis": "n", "polynomial": poly}, (str(p) for p in [poly])
     form = power_sum_tform((args.exponent - 1) // 2)
     payload = {"exponent": args.exponent, "basis": "t", "index": form.m, "p": form.p, "t_power": 2}
-    return 0, payload, (f"({p}) * T^2" for p in [form.p])
+    return 0, payload, (str(f) for f in [form])
 
 
 def _cmd_tform(args: argparse.Namespace) -> _Result:
     form = power_sum_tform(args.index)
     payload = {"index": form.m, "exponent": 2 * form.m + 1, "p": form.p, "t_power": 2}
-    return 0, payload, (f"({p}) * T^2" for p in [form.p])
+    return 0, payload, (str(f) for f in [form])
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> _Result:
@@ -215,8 +219,9 @@ def run(argv: Iterable[str], stdout: TextIOBase | None = None, stderr: TextIOBas
     err = sys.stderr if stderr is None else stderr
     parser = build_parser()
     try:
-        # argparse prints usage/help straight to sys.std{out,err}; route both.
-        with redirect_stdout(out), redirect_stderr(err):
+        # argparse prints usage/help straight to sys.std{out,err}; route both,
+        # one call at a time, so overlapping calls restore the streams in order.
+        with _REDIRECT_LOCK, redirect_stdout(out), redirect_stderr(err):
             args = parser.parse_args(list(argv))
             _validate(parser, args)
     except SystemExit as exc:
@@ -224,7 +229,7 @@ def run(argv: Iterable[str], stdout: TextIOBase | None = None, stderr: TextIOBas
             return 0
         return exc.code if isinstance(exc.code, int) else 2
     code, payload, lines = _HANDLERS[args.command](args)
-    if args.format == "json":
+    if getattr(args, "format", "text") == "json":
         import json  # only JSON output pays for loading the encoder
 
         print(json.dumps({"command": args.command, **payload}, indent=2, default=_json_value), file=out)

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: unbounded integers, reduced rationals, binomials.
+"""Exact scalar arithmetic: unbounded integers and reduced rationals.
 
 Python ints are already arbitrary precision, and ``fractions.Fraction``
 already maintains every invariant the rest of the package relies on:
@@ -6,7 +6,9 @@ denominators are strictly positive, values are stored in lowest terms,
 and zero is exactly 0/1.  ``Rational`` is therefore an alias rather than
 a reimplementation; this module pins the conventions (and the textual
 ``p/q`` grammar, with ``/q`` omitted when q == 1) that the polynomial,
-faulhaber, and cli layers build on.
+faulhaber, and cli layers build on.  Beside the alias there is only the
+float guard ``as_rational``; binomial coefficients come straight from
+``math.comb`` wherever they are needed.
 
 All values are immutable and all operations are pure functions, so
 everything here may be shared freely across threads.
@@ -14,7 +16,6 @@ everything here may be shared freely across threads.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 Rational = Fraction
@@ -30,17 +31,3 @@ def as_rational(value: int | str | Rational) -> Rational:
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float {value!r}; use Fraction or a string like '1/10'")
     return Fraction(value)
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k) with the empty-selection convention.
-
-    Returns 0 for k < 0 or k > n.  Requires n >= 0.  Delegates to
-    ``math.comb``, which uses the multiplicative running-product scheme
-    with exact intermediate division (never full factorials).
-    """
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)

@@ -56,9 +56,9 @@ import threading
 from collections.abc import Callable, Iterator
 from functools import cache
 from itertools import accumulate
-from math import lcm
+from math import comb, lcm
 
-from .exact_arith import Rational, binomial
+from .exact_arith import Rational
 from .polynomial import Polynomial, _Record, monomial, poly_combination, poly_from_numerators, t_to_n
 
 
@@ -133,7 +133,7 @@ def power_sum_poly_n(m: int) -> Polynomial:
     values = [bernoulli(j) for j in range(order)]
     common = lcm(*[b.denominator for b in values])
     nums = [
-        (-1 if j % 2 else 1) * binomial(order, j) * b.numerator * (common // b.denominator)
+        (-1 if j % 2 else 1) * comb(order, j) * b.numerator * (common // b.denominator)
         for j, b in enumerate(values)
     ]
     # nums[j] belongs to n^(m+1-j); the constant term is 0.
@@ -147,6 +147,7 @@ class FaulhaberForm(_Record):
     coefficient 2^m / (m+1), and for m >= 2 the two lowest coefficients
     lock together as c1 = -4*c0 (the tail of p is proportional to
     (4T - 1)/3).  Violations are invariant failures, not domain errors.
+    ``str`` gives the one factored display, ``(p) * T^2``.
     """
 
     __slots__ = ("m", "p")
@@ -164,6 +165,9 @@ class FaulhaberForm(_Record):
             raise AssertionError(f"leading coefficient {lead} != 2^{self.m}/{self.m + 1}")
         if self.m >= 2 and self.p.coefficient(1) != -4 * self.p.coefficient(0):
             raise AssertionError(f"tail relation c1 = -4*c0 broken for m={self.m}")
+
+    def __str__(self) -> str:
+        return f"({self.p}) * T^2"
 
 
 class VerificationReport(_Record):
@@ -190,7 +194,7 @@ def verify_pascal_identity(m: int) -> VerificationReport:
     if m < 2:
         raise ValueError(f"verify_pascal_identity requires m >= 2, got {m}")
     lhs = t_to_n(monomial(2 ** (m - 1), m, "T"))
-    rhs = poly_combination([(binomial(m, j), power_sum_poly_n(m + j)) for j in _ladder_indices(m)], "n")
+    rhs = poly_combination([(comb(m, j), power_sum_poly_n(m + j)) for j in _ladder_indices(m)], "n")
     return VerificationReport(f"pascal m={m}", lhs, rhs)
 
 
@@ -225,7 +229,7 @@ def power_sum_tform(m: int) -> FaulhaberForm:
     if m < 1:
         raise ValueError(f"power_sum_tform requires m >= 1, got {m}")
     terms = [(2**m, monomial(1, m - 1, "T"))]
-    terms += [(-binomial(m + 1, j), power_sum_tform((m + j) // 2).p) for j in _ladder_indices(m + 1)[:-1]]
+    terms += [(-comb(m + 1, j), power_sum_tform((m + j) // 2).p) for j in _ladder_indices(m + 1)[:-1]]
     return FaulhaberForm(m, poly_combination(terms, "T", m + 1))
 
 

@@ -10,7 +10,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from powersums.exact_arith import binomial
 from powersums.faulhaber import (
     BernoulliTable,
     bernoulli,

@@ -2,8 +2,10 @@
 
 import gc
 import hashlib
+import io
 import json
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -374,6 +376,76 @@ class TestExitCodes:
         assert exit_info.value.code == expected
         err = capsys.readouterr().err
         assert ("RuntimeError: boom" in err) == (expected == 3)
+
+
+class TestHelpAndUsageBytes:
+    """Exact (exit code, stdout, stderr) of every --help and of the usage errors.
+
+    ``cli_help.json`` holds one record per argv, taken from ``cli.run`` with
+    COLUMNS=80; argparse wraps help and usage to the terminal width, and its
+    layout changes between Python versions, so the bytes are pinned on 3.11.
+    """
+
+    CASES = json.loads((Path(__file__).resolve().parent / "cli_help.json").read_text())
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse layout pinned on Python 3.11")
+    @pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case["argv"]) or "<no arguments>")
+    def test_bytes(self, cli, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli(*case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+class _HookedSink(io.StringIO):
+    """A StringIO that calls ``hook`` before each write."""
+
+    def __init__(self, hook) -> None:
+        super().__init__()
+        self.hook = hook
+
+    def write(self, text: str) -> int:
+        self.hook()
+        return super().write(text)
+
+
+class TestConcurrentRuns:
+    def test_overlapping_parses_restore_the_process_streams(self, cli):
+        # A prints its help and then waits (up to 0.3 s) for B to write; B's
+        # sink waits for A to finish.  Were the two redirects to interleave,
+        # B would exit last and leave sys.stdout pointing at A's sink.
+        a_writing, b_wrote, a_done = threading.Event(), threading.Event(), threading.Event()
+
+        def a_hook():
+            a_writing.set()
+            b_wrote.wait(0.3)
+
+        def b_hook():
+            b_wrote.set()
+            a_done.wait(10)
+
+        sinks = {"a": (_HookedSink(a_hook), io.StringIO()), "b": (_HookedSink(b_hook), io.StringIO())}
+        codes = {}
+
+        def call(name: str) -> None:
+            codes[name] = powersums.cli.run(["--help"], *sinks[name])
+            if name == "a":
+                a_done.set()
+
+        stdout, stderr = sys.stdout, sys.stderr
+        a = threading.Thread(target=call, args=("a",))
+        b = threading.Thread(target=call, args=("b",))
+        try:
+            a.start()
+            assert a_writing.wait(10)
+            b.start()
+            a.join(10)
+            b.join(10)
+            streams = sys.stdout, sys.stderr
+        finally:
+            sys.stdout, sys.stderr = stdout, stderr
+        assert streams[0] is stdout and streams[1] is stderr
+        expected = cli("--help")
+        for name, (out, err) in sinks.items():
+            assert (codes[name], out.getvalue(), err.getvalue()) == expected, name
 
 
 class TestJson:

@@ -1,4 +1,4 @@
-"""Scalar substrate: reduced rationals and exact binomial coefficients."""
+"""Scalar substrate: reduced rationals and the float guard."""
 
 import math
 import operator
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powersums.exact_arith import Rational, as_rational, binomial
+from powersums.exact_arith import Rational, as_rational
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=200)
 
@@ -88,41 +88,3 @@ class TestRationalConstruction:
 
     def test_alias_is_fraction(self):
         assert Rational is Fraction
-
-
-class TestBinomial:
-    @pytest.mark.parametrize(
-        "n, k, expected",
-        [
-            (2, 1, 2),
-            (4, 3, 4),
-            (5, 2, 10),
-            (0, 0, 1),
-            (7, 0, 1),
-            (7, 7, 1),
-        ],
-    )
-    def test_known_values(self, n, k, expected):
-        assert binomial(n, k) == expected
-
-    def test_out_of_range_k_gives_zero(self):
-        assert binomial(3, 5) == 0
-        assert binomial(3, -1) == 0
-
-    def test_negative_n_is_a_domain_error(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-    def test_pascals_rule(self):
-        for n in range(1, 65):
-            for k in range(1, n + 1):
-                assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-    def test_symmetry(self):
-        for n in range(65):
-            for k in range(n + 1):
-                assert binomial(n, k) == binomial(n, n - k)
-
-    def test_large_argument_exactness(self):
-        # Exact at sizes far beyond 64-bit range.
-        assert binomial(200, 100) == math.factorial(200) // (math.factorial(100) ** 2)

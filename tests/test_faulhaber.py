@@ -6,13 +6,13 @@ import pickle
 import random
 import threading
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from powersums import faulhaber
-from powersums.exact_arith import binomial
 from powersums.faulhaber import (
     BernoulliTable,
     FaulhaberForm,
@@ -46,7 +46,7 @@ def fraction_recurrence(top):
     """B_0..B_top by the defining recurrence in plain Fraction arithmetic."""
     values = [Fraction(1)]
     for n in range(1, top + 1):
-        values.append(-sum(binomial(n + 1, k) * values[k] for k in range(n)) / (n + 1))
+        values.append(-sum(comb(n + 1, k) * values[k] for k in range(n)) / (n + 1))
     return values
 
 
@@ -79,7 +79,7 @@ class TestBernoulli:
         table = BernoulliTable()
         table.get(200)
         for n in range(1, 201):
-            assert sum(binomial(n + 1, k) * table.get(k) for k in range(n + 1)) == 0
+            assert sum(comb(n + 1, k) * table.get(k) for k in range(n + 1)) == 0
 
     def test_denominators_follow_von_staudt_clausen(self):
         # den(B_2k) is the product of the primes p with (p - 1) | 2k: an
@@ -99,7 +99,7 @@ class TestBernoulli:
         def refuse(n, k):
             raise AssertionError("the Bernoulli table computed a binomial")
 
-        monkeypatch.setattr(faulhaber, "binomial", refuse)
+        monkeypatch.setattr(faulhaber, "comb", refuse)
         BernoulliTable().get(120)
 
     @pytest.mark.parametrize("order", ["one step", "one at a time", "shuffled"])
@@ -199,7 +199,7 @@ class TestPowerSumPolynomial:
             order = m + 1
             reference = [Fraction(0)] * (order + 1)
             for j in range(order):
-                reference[order - j] = Fraction((-1) ** j * binomial(order, j), order) * bernoulli(j)
+                reference[order - j] = Fraction((-1) ** j * comb(order, j), order) * bernoulli(j)
             assert power_sum_poly_n(m) == Polynomial(reference, "n")
 
 
@@ -232,7 +232,7 @@ class TestPascalIdentity:
         # m = 7 instance numerically at n = 1..10 via literal summation.
         for n in range(1, 11):
             lhs = 2**6 * Fraction(n * (n + 1), 2) ** 7
-            rhs = sum(binomial(7, j) * power_sum_direct(7 + j, n) for j in (0, 2, 4, 6))
+            rhs = sum(comb(7, j) * power_sum_direct(7 + j, n) for j in (0, 2, 4, 6))
             assert lhs == rhs
 
     def test_domain_error_below_two(self):
@@ -336,6 +336,14 @@ class TestTForm:
         with pytest.raises(AssertionError):
             # right degree and leading coefficient, broken tail relation
             FaulhaberForm(3, Polynomial((1, 1, 2), "T"))
+
+    def test_str_is_the_factored_display(self):
+        form = power_sum_tform(3)
+        assert str(form) == "(2*T^2 - 4/3*T + 1/3) * T^2"
+        assert str(power_sum_tform(1)) == "(1) * T^2"
+        assert repr(form) == (
+            "FaulhaberForm(m=3, p=Polynomial(coeffs=(Fraction(1, 3), Fraction(-4, 3), Fraction(2, 1)), var='T'))"
+        )
 
 
 class TestFaulhaberCoefficients:
