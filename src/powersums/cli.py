@@ -1,13 +1,14 @@
 """Command-line front-end: computation and verification as subcommands.
 
-Each command handler computes once and returns its result: an exit code,
-a JSON payload holding the exact ``Fraction`` and ``Polynomial`` values,
-and the text lines.  ``run`` is the only writer and renders that result
-as text or as JSON.  Output is deterministic byte-for-byte.  Text tables
-are tab-separated; polynomials use the display grammar of the polynomial
-module.  With ``--format json`` every rational is emitted as a two-field
-record of decimal strings (``{"num": ..., "den": ...}``) -- never as a
-float, because the coefficients outgrow 64-bit range almost immediately.
+Each command handler is attached to its subparser, computes once and
+returns its result: an exit code, a JSON payload holding the exact
+``Fraction`` and ``Polynomial`` values, and the text lines.  ``run`` is
+the only writer and renders that result as text or as JSON.  Output is
+deterministic byte-for-byte.  Text tables are tab-separated; polynomials
+use the display grammar of the polynomial module.  With ``--format json``
+every rational is emitted as a two-field record of decimal strings
+(``{"num": ..., "den": ...}``) -- never as a float, because the
+coefficients outgrow 64-bit range almost immediately.
 
 Exit codes: 0 on success with all verifications passing, 1 if any
 verification instance fails, 2 on usage or parse errors (which print a
@@ -25,7 +26,7 @@ import os
 import re
 import sys
 import threading
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from contextlib import redirect_stderr, redirect_stdout
 from io import TextIOBase
 
@@ -44,8 +45,9 @@ _DECIMAL_INT = re.compile(r"[0-9]+")
 # Every bound option of ``verify``, as argparse dests: max, max_m, max_n.
 _BOUNDS = tuple(dict.fromkeys(key for suite in SUITES.values() for key in suite.defaults))
 # A command's result: exit code, JSON payload (without "command") and text
-# lines.  Costly lines are generators, so JSON output never formats them.
-_Result = tuple[int, dict[str, object], Iterable[str]]
+# lines, as values that ``print`` formats.  Costly lines come from a
+# generator, so JSON output never formats them.
+_Result = tuple[int, dict[str, object], Iterable[object]]
 # Held while a parse redirects the process-wide sys.stdout and sys.stderr.
 _REDIRECT_LOCK = threading.Lock()
 
@@ -89,24 +91,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text, description=help_text, parents=[output])
+    def add(
+        name: str, help_text: str, handler: Callable[[argparse.Namespace], _Result]
+    ) -> argparse.ArgumentParser:
+        command = sub.add_parser(name, help=help_text, description=help_text, parents=[output])
+        command.set_defaults(handler=handler)
+        return command
 
-    p_bernoulli = add("bernoulli", "print B_0..B_K, one 'index<TAB>value' line per number")
+    p_bernoulli = add("bernoulli", "print B_0..B_K, one 'index<TAB>value' line per number", _cmd_bernoulli)
     p_bernoulli.add_argument("k", type=_uint(0), metavar="K", help="largest index, K >= 0")
 
-    p_powersum = add("powersum", "print the power-sum polynomial S_M")
+    p_powersum = add("powersum", "print the power-sum polynomial S_M", _cmd_powersum)
     p_powersum.add_argument("exponent", type=_uint(1), metavar="M", help="exponent, M >= 1")
     p_powersum.add_argument("--basis", choices=("n", "t"), default="n",
                             help="n: polynomial in n; t: factored (P) * T^2, odd M >= 3 only")
 
-    p_tform = add("tform", "print the factored T-basis form of S_{2M+1} as (P) * T^2")
+    p_tform = add("tform", "print the factored T-basis form of S_{2M+1} as (P) * T^2", _cmd_tform)
     p_tform.add_argument("index", type=_uint(1), metavar="M", help="form index, M >= 1 (exponent 2M+1)")
 
-    p_coeffs = add("coeffs", "print the T-form coefficients of S_{2M+1}, highest degree first")
+    p_coeffs = add("coeffs", "print the T-form coefficients of S_{2M+1}, highest degree first", _cmd_coeffs)
     p_coeffs.add_argument("index", type=_uint(1), metavar="M", help="form index, M >= 1")
 
-    p_verify = add("verify", "run an identity suite and print one PASS/FAIL line per instance")
+    p_verify = add("verify", "run an identity suite and print one PASS/FAIL line per instance", _cmd_verify)
     pascal, telescoping = SUITES["pascal"], SUITES["telescoping"]
     p_verify.add_argument("suite", choices=tuple(SUITES))
     p_verify.add_argument("--max", type=_uint(1), default=None, metavar="M",
@@ -117,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", type=_uint(1), default=None, metavar="N",
                           help=f"telescoping only: largest upper limit N (default {telescoping.defaults['max_n']})")
 
-    p_eval = add("eval", "evaluate S_M at N both symbolically and by direct summation")
+    p_eval = add("eval", "evaluate S_M at N both symbolically and by direct summation", _cmd_eval)
     p_eval.add_argument("exponent", type=_uint(1), metavar="M", help="exponent, M >= 1")
     p_eval.add_argument("n", type=_uint(0), metavar="N", help="upper summation limit, N >= 0")
 
@@ -157,16 +163,16 @@ def _cmd_bernoulli(args: argparse.Namespace) -> _Result:
 def _cmd_powersum(args: argparse.Namespace) -> _Result:
     if args.basis == "n":
         poly = power_sum_poly_n(args.exponent)
-        return 0, {"exponent": args.exponent, "basis": "n", "polynomial": poly}, (str(p) for p in [poly])
+        return 0, {"exponent": args.exponent, "basis": "n", "polynomial": poly}, [poly]
     form = power_sum_tform((args.exponent - 1) // 2)
     payload = {"exponent": args.exponent, "basis": "t", "index": form.m, "p": form.p, "t_power": 2}
-    return 0, payload, (str(f) for f in [form])
+    return 0, payload, [form]
 
 
 def _cmd_tform(args: argparse.Namespace) -> _Result:
     form = power_sum_tform(args.index)
     payload = {"index": form.m, "exponent": 2 * form.m + 1, "p": form.p, "t_power": 2}
-    return 0, payload, (str(f) for f in [form])
+    return 0, payload, [form]
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> _Result:
@@ -203,16 +209,6 @@ def _cmd_eval(args: argparse.Namespace) -> _Result:
     return 0 if agree else 1, payload, lines
 
 
-_HANDLERS = {
-    "bernoulli": _cmd_bernoulli,
-    "powersum": _cmd_powersum,
-    "tform": _cmd_tform,
-    "coeffs": _cmd_coeffs,
-    "verify": _cmd_verify,
-    "eval": _cmd_eval,
-}
-
-
 def run(argv: Iterable[str], stdout: TextIOBase | None = None, stderr: TextIOBase | None = None) -> int:
     """Parse and execute one invocation; render its result as text or JSON to the given sinks."""
     out = sys.stdout if stdout is None else stdout
@@ -225,10 +221,8 @@ def run(argv: Iterable[str], stdout: TextIOBase | None = None, stderr: TextIOBas
             args = parser.parse_args(list(argv))
             _validate(parser, args)
     except SystemExit as exc:
-        if exc.code is None:
-            return 0
-        return exc.code if isinstance(exc.code, int) else 2
-    code, payload, lines = _HANDLERS[args.command](args)
+        return exc.code
+    code, payload, lines = args.handler(args)
     if getattr(args, "format", "text") == "json":
         import json  # only JSON output pays for loading the encoder
 

@@ -39,9 +39,10 @@ zeros rest on.
 
 ``SUITES`` is the one registry of verification suites: for each of
 pascal, faulhaber, odd-bernoulli and telescoping it holds the default
-bounds, the lowest allowed index and the sweep that yields one
-``(label, ok)`` pair per instance.  The CLI's ``verify`` command and
-``scripts/run_verification.py`` both run suites from it.
+bounds, the lowest allowed index and the check that returns one
+instance's ``(label, ok)`` pair.  ``Suite.sweep`` runs that check on
+every index from the lowest one up to its bound.  The CLI's ``verify``
+command and ``scripts/run_verification.py`` both run suites from it.
 
 All operations are deterministic and observationally pure.  The shared
 Bernoulli table only ever grows, under a lock.  The memoized T-forms and
@@ -55,7 +56,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Iterator
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb, lcm
 
 from .exact_arith import Rational
@@ -263,48 +264,41 @@ class Suite(_Record):
     """One verification suite of the registry.
 
     ``defaults`` maps each bound (``max``, or ``max_m`` and ``max_n``) to
-    its default, in the order ``sweep`` takes them; ``first`` is the
-    lowest allowed index m.  ``sweep(*bounds)`` yields one ``(label, ok)``
-    pair per instance.
+    its default, in the order ``check`` and ``sweep`` take them; ``first``
+    is the lowest allowed index.  ``check(*indices)`` runs one instance
+    and returns its ``(label, ok)`` pair.
     """
 
-    __slots__ = ("defaults", "first", "sweep")
+    __slots__ = ("defaults", "first", "check")
 
-    def __init__(
-        self, defaults: dict[str, int], first: int, sweep: Callable[..., Iterator[tuple[str, bool]]]
-    ) -> None:
-        super().__init__(defaults, first, sweep)
+    def __init__(self, defaults: dict[str, int], first: int, check: Callable[..., tuple[str, bool]]) -> None:
+        super().__init__(defaults, first, check)
+
+    def sweep(self, *bounds: int) -> Iterator[tuple[str, bool]]:
+        """A generator of ``check`` on each index tuple, every index from ``first`` to its bound.
+
+        The first index varies slowest, as in nested loops.
+        """
+        ranges = [range(self.first, top + 1) for top in bounds]
+        return (self.check(*indices) for indices in product(*ranges))
 
 
 def _outcome(report: VerificationReport) -> tuple[str, bool]:
     return report.label, report.holds
 
 
-# The sweeps look the checks up as module globals at call time, so a
+# The checks look their functions up as module globals at call time, so a
 # patched or wrapped ``verify_faulhaber`` (say) is the one that runs.
 SUITES: dict[str, Suite] = {
-    "pascal": Suite(
-        {"max": 40}, 2, lambda top: (_outcome(verify_pascal_identity(m)) for m in range(2, top + 1))
-    ),
-    "faulhaber": Suite(
-        {"max": 40}, 1, lambda top: (_outcome(verify_faulhaber(m)) for m in range(1, top + 1))
-    ),
+    "pascal": Suite({"max": 40}, 2, lambda m: _outcome(verify_pascal_identity(m))),
+    "faulhaber": Suite({"max": 40}, 1, lambda m: _outcome(verify_faulhaber(m))),
     # The table's odd zeros are structural, listed rather than computed, so
     # this suite's proof rests on infer_odd_bernoulli, the T-route; the
     # table's entry is only checked to agree with it.
     "odd-bernoulli": Suite(
         {"max": 40},
         1,
-        lambda top: (
-            (f"odd-bernoulli m={m}", infer_odd_bernoulli(m) == 0 and bernoulli(2 * m + 1) == 0)
-            for m in range(1, top + 1)
-        ),
+        lambda m: (f"odd-bernoulli m={m}", infer_odd_bernoulli(m) == 0 and bernoulli(2 * m + 1) == 0),
     ),
-    "telescoping": Suite(
-        {"max_m": 10, "max_n": 50},
-        1,
-        lambda top_m, top_n: (
-            _outcome(telescoping_check(m, n)) for m in range(1, top_m + 1) for n in range(1, top_n + 1)
-        ),
-    ),
+    "telescoping": Suite({"max_m": 10, "max_n": 50}, 1, lambda m, n: _outcome(telescoping_check(m, n))),
 }

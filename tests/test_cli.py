@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import powersums.cli
+import powersums.faulhaber
 from powersums.faulhaber import (
+    SUITES,
     VerificationReport,
     bernoulli,
     power_sum_poly_n,
@@ -299,6 +301,20 @@ class TestBenchmarkGoldens:
         assert mismatched == []
 
 
+def _failed(label):
+    return VerificationReport(label, Polynomial((1,), "n"), Polynomial((2,), "n"))
+
+
+# For each suite: the faulhaber module function its check calls, and a
+# stand-in for it that makes every instance fail.
+_BROKEN_CHECKS = {
+    "pascal": ("verify_pascal_identity", lambda m: _failed(f"pascal m={m}")),
+    "faulhaber": ("verify_faulhaber", lambda m: _failed(f"faulhaber m={m}")),
+    "odd-bernoulli": ("infer_odd_bernoulli", lambda m: 1),
+    "telescoping": ("telescoping_check", lambda m, n: _failed(f"telescoping m={m} N={n}")),
+}
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, cli):
         code, out, err = cli("frobnicate")
@@ -356,6 +372,26 @@ class TestExitCodes:
             "faulhaber: 0/2 passed\n"
         )
 
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_failing_check_fails_every_suite(self, cli, monkeypatch, name):
+        # Each suite's check looks up its module function at call time, so
+        # patching that function alone must fail every instance.
+        suite = SUITES[name]
+        bounds = {key: {"max": 3, "max_m": 2, "max_n": 3}[key] for key in suite.defaults}
+        labels = [label for label, _ in suite.sweep(*bounds.values())]
+        function, broken = _BROKEN_CHECKS[name]
+        monkeypatch.setattr(powersums.faulhaber, function, broken)
+        options = [arg for key, value in bounds.items() for arg in ("--" + key.replace("_", "-"), str(value))]
+
+        code, out, _ = cli("verify", name, *options)
+        assert code == 1
+        assert out.splitlines() == [f"FAIL {label}" for label in labels] + [f"{name}: 0/{len(labels)} passed"]
+        code, out, _ = cli("verify", name, *options, "--format", "json")
+        assert code == 1
+        assert '"all_pass": false' in out
+        payload = json.loads(out)
+        assert (payload["passed"], payload["total"]) == (0, len(labels))
+
     def test_disagreeing_eval_exits_one(self, cli, monkeypatch):
         monkeypatch.setattr(powersums.cli, "power_sum_direct", lambda m, n: 0)
         code, out, _ = cli("eval", "3", "3")
@@ -368,7 +404,7 @@ class TestExitCodes:
         def handler(args):
             raise error
 
-        monkeypatch.setitem(powersums.cli._HANDLERS, "eval", handler)
+        monkeypatch.setattr(powersums.cli, "_cmd_eval", handler)
         with pytest.raises(type(error)):
             powersums.cli.run(["eval", "3", "4"])  # in-process callers see the exception
         with pytest.raises(SystemExit) as exit_info:

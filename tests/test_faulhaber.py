@@ -419,7 +419,7 @@ class TestRecords:
         assert report != ("x", report.lhs, report.rhs)
         assert repr(form) == f"FaulhaberForm(m=2, p={form.p!r})"
         assert repr(report) == f"VerificationReport(label='x', lhs={report.lhs!r}, rhs={report.rhs!r})"
-        assert repr(suite).startswith("Suite(defaults={'max': 40}, first=2, sweep=<function")
+        assert repr(suite).startswith("Suite(defaults={'max': 40}, first=2, check=<function")
         for record, field in ((form, "m"), (report, "label"), (suite, "first"), (form.p, "var")):
             with pytest.raises(AttributeError):
                 setattr(record, field, 0)
