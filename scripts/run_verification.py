@@ -3,21 +3,21 @@
 
 This is the batch counterpart of ``powersums verify ...``: one process,
 the Bernoulli recurrence recheck and then every suite of the registry
-``powersums.faulhaber.SUITES``, a wall-clock figure per line, and a
-nonzero exit if any instance fails (none ever should).
+``powersums.faulhaber.SUITES``, a wall-clock figure per line.  The
+process ends through ``powersums.cli.end_process`` with the exit codes of
+the ``powersums`` command: 1 only if an instance fails (none ever should),
+141 on a closed pipe, and 3 on a crash or an unwritable stdout.
 """
 
 import argparse
-import signal
-import sys
 import time
 from math import comb
 
+from powersums.cli import end_process
 from powersums.faulhaber import SUITES, bernoulli
 
 
 def main() -> int:
-    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max", type=int, default=200, help="largest m of pascal, faulhaber, odd-bernoulli")
     parser.add_argument("--max-m", type=int, default=10, help="telescoping: largest exponent m")
@@ -57,4 +57,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    end_process(main)

@@ -12,15 +12,19 @@ coefficients outgrow 64-bit range almost immediately.
 
 Exit codes: 0 on success with all verifications passing, 1 if any
 verification instance fails, 2 on usage or parse errors (which print a
-usage message to stderr and nothing to stdout).  The process entry point
-``main`` adds three more: 141 when stdout is closed early (a broken pipe,
-as in ``powersums ... | head -1``; no traceback), 130 on an interrupt,
-and 3 on any other uncaught error, whose traceback goes to stderr.
+usage message to stderr and nothing to stdout).  ``end_process`` ends
+every process of the package, the ``powersums`` command (``main``) and
+``scripts/run_verification.py`` alike, and adds three more: 141 when
+stdout is closed early (a broken pipe, as in ``powersums ... | head -1``;
+nothing on stderr), 130 on an interrupt, and 3 on any other uncaught
+error (traceback on stderr) or when stdout cannot be written (one line
+on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import re
@@ -233,32 +237,47 @@ def run(argv: Iterable[str], stdout: TextIOBase | None = None, stderr: TextIOBas
     return code
 
 
-def main(argv: list[str] | None = None) -> None:
-    """Process entry point: ``run`` on sys.argv, with exit codes for failures.
+def end_process(job: Callable[[], int]) -> None:
+    """End the process with the exit code of ``job()``: the one exit policy of every entry point.
 
-    Two process-wide settings are ``main``'s alone; ``run`` leaves both as
-    its caller set them.  ``main`` lifts the int-to-str digit limit before
-    it runs the command, and once the exit code is fixed and stdout is
-    flushed it freezes the garbage collector (``gc.freeze``), so the
-    interpreter's shutdown collections skip the objects the process holds:
-    atexit handlers, stream flushing and module teardown still run, and
-    the output bytes and exit codes stay the same.
+    ``job`` returns 0 or 1 by its verdict; a usage error it raises as
+    ``SystemExit`` (argparse's 2) passes through.  The process exits 141
+    when stdout is closed early (a broken pipe, as in ``... | head -1``;
+    nothing on stderr), 3 with one line on stderr when stdout cannot be
+    written otherwise (closed from the start, or a full device), 130 on
+    an interrupt, and 3 with a traceback on any other uncaught error, so
+    a crash never reads as a failed verification.
+
+    Two process-wide settings are ``end_process``'s alone; ``run`` leaves
+    both as its caller set them.  It lifts the int-to-str digit limit
+    before the job, and once the exit code is fixed and stdout is flushed
+    it freezes the garbage collector (``gc.freeze``), so the interpreter's
+    shutdown collections skip the objects the process holds: atexit
+    handlers, stream flushing and module teardown still run, and the
+    output bytes and exit codes stay the same.
     """
     # Print integers of any size: Python 3.11+ (and 3.10.7+) refuse by
     # default to convert an int of more than 4300 digits to str.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
-        code = run(sys.argv[1:] if argv is None else argv)
+        if sys.stdout is None:  # fd 1 was closed when the process started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        code = job()
         # Flush inside the try, so that a closed pipe surfaces here.
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The interpreter flushes stdout again at shutdown; point it at
-        # devnull so that flush cannot raise a second time.
+    except OSError as exc:
+        # A job does no I/O but writing stdout, so that write failed.  The
+        # interpreter flushes stdout again at shutdown; point fd 1 at devnull
+        # so that flush cannot raise a second time.
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, 1)
         os.close(devnull)
-        code = 141
+        if isinstance(exc, BrokenPipeError):
+            code = 141
+        else:
+            print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+            code = 3
     except KeyboardInterrupt:
         code = 130
     except Exception:
@@ -270,3 +289,8 @@ def main(argv: list[str] | None = None) -> None:
     # collections need not traverse them (about 12k after the import).
     gc.freeze()
     raise SystemExit(code)
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Entry point of the ``powersums`` command: ``run`` on sys.argv, ended by ``end_process``."""
+    end_process(lambda: run(sys.argv[1:] if argv is None else argv))

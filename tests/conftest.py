@@ -89,6 +89,22 @@ def script_subprocess():
 
 
 @pytest.fixture
+def redirected():
+    """Run ``python *args`` with stdout redirected by the shell, as in ``>&-``; returns CompletedProcess."""
+
+    def invoke(redirect: str, *args: str):
+        return subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, *args],
+            capture_output=True,
+            text=True,
+            env=_subprocess_env(),
+            timeout=300,
+        )
+
+    return invoke
+
+
+@pytest.fixture
 def popen():
     """Start ``python *args`` with piped stdout and stderr; returns the Popen."""
     started = []
@@ -116,9 +132,3 @@ def popen():
 def cli_popen(popen):
     """Start the CLI as a subprocess with piped stdout and stderr; returns the Popen."""
     return lambda *args: popen("-m", "powersums", *args)
-
-
-@pytest.fixture
-def script_popen(popen):
-    """Start a file of scripts/ as a subprocess with piped stdout and stderr; returns the Popen."""
-    return lambda name, *args: popen(str(SCRIPTS_DIR / name), *args)

@@ -664,3 +664,83 @@ cli.main(sys.argv[1:])
         proc = popen("-S", "-c", f"import sys, powersums.cli; print(*[m for m in {lazy!r} if m in sys.modules])")
         out, err = proc.communicate(timeout=60)
         assert (proc.returncode, out, err) == (0, b"\n", b"")
+
+
+# Each process entry point, as ``python`` arguments for a short run that passes.
+ENTRY_POINTS = {
+    "cli": ("-m", "powersums", "tform", "3"),
+    "sweep-script": (
+        str(Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"),
+        "--max", "2", "--max-m", "1", "--max-n", "1", "--table-max", "2",
+    ),
+}
+
+# ``python -c LAUNCH ARGS...`` runs ARGS (``-m MODULE ...`` or ``SCRIPT ...``)
+# as ``python ARGS...`` would, after PLANT has patched the faulhaber module.
+# No entry point has imported powersums.cli yet, so its names bind to the patch.
+LAUNCH = """
+import runpy, sys
+from powersums import faulhaber
+{plant}
+del sys.argv[0]
+if sys.argv[0] == "-m":
+    del sys.argv[0]
+    runpy.run_module(sys.argv[0], run_name="__main__", alter_sys=True)
+else:
+    runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+class TestProcessEnd:
+    """Both entry points end through ``cli.end_process``, by one exit table."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "redirect, reason",
+        [(">&-", "[Errno 9] Bad file descriptor"), (">/dev/full", "[Errno 28] No space left on device")],
+        ids=["closed", "full"],
+    )
+    def test_unwritable_stdout_exits_3_with_one_line(self, redirected, entry, redirect, reason):
+        if redirect == ">/dev/full" and not Path("/dev/full").exists():
+            pytest.skip("no /dev/full")
+        proc = redirected(redirect, *entry)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: cannot write to stdout: {reason}\n")
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+    def test_crash_exits_3_with_traceback(self, popen, entry):
+        proc = popen("-c", LAUNCH.format(plant="faulhaber.power_sum_tform = lambda m: 1 / 0"), *entry)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 3
+        assert err.startswith(b"Traceback (most recent call last):\n")
+        assert err.endswith(b"ZeroDivisionError: division by zero\n")
+
+    def test_failing_sweep_instance_exits_1(self, popen):
+        plant = "faulhaber.infer_odd_bernoulli = lambda m: 1"  # every odd-bernoulli instance fails
+        proc = popen("-c", LAUNCH.format(plant=plant), *ENTRY_POINTS["sweep-script"])
+        out, err = proc.communicate(timeout=60)
+        lines = out.decode().splitlines()
+        assert (proc.returncode, err) == (1, b"")
+        assert [line.split()[:2] for line in lines[:-1]] == [
+            ["bernoulli", "ok"],
+            ["pascal", "ok"],
+            ["faulhaber", "ok"],
+            ["odd-bernoulli", "FAILED"],
+            ["telescoping", "ok"],
+        ]
+        assert lines[-1] == "FAILURES PRESENT"
+
+    def test_closed_pipe_exits_141(self, popen):
+        job = (
+            "from powersums.cli import end_process\n"
+            "def job():\n"
+            "    for i in range(100_000):  # about 590 KB, more than a pipe buffers\n"
+            "        print(i)\n"
+            "    return 0\n"
+            "end_process(job)\n"
+        )
+        proc = popen("-c", job)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert (first, err) == (b"0\n", b"")
