@@ -6,19 +6,20 @@ the Bernoulli recurrence recheck and then every suite of the registry
 ``powersums.faulhaber.SUITES``, a wall-clock figure per line.  The
 process ends through ``powersums.cli.end_process`` with the exit codes of
 the ``powersums`` command: 1 only if an instance fails (none ever should),
-141 on a closed pipe, and 3 on a crash or an unwritable stdout.
+2 on a usage error, 141 on a closed pipe, and 3 on a crash or an
+unwritable output stream.
 """
 
-import argparse
 import time
 from math import comb
 
-from powersums.cli import end_process
+from powersums.cli import _Parser, end_process
 from powersums.faulhaber import SUITES, bernoulli
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    # The CLI's parser class: help and usage errors reach end_process unprinted.
+    parser = _Parser(description=__doc__)
     parser.add_argument("--max", type=int, default=200, help="largest m of pascal, faulhaber, odd-bernoulli")
     parser.add_argument("--max-m", type=int, default=10, help="telescoping: largest exponent m")
     parser.add_argument("--max-n", type=int, default=50, help="telescoping: largest upper limit N")

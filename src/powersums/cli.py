@@ -3,8 +3,12 @@
 Each command handler is attached to its subparser, computes once and
 returns its result: an exit code, a JSON payload holding the exact
 ``Fraction`` and ``Polynomial`` values, and the text lines.  ``run`` is
-the only writer and renders that result as text or as JSON.  Output is
-deterministic byte-for-byte.  Text tables are tab-separated; polynomials
+the only writer of a call and renders that result as text or as JSON.
+Its parser prints nothing either: help and usage errors come back as
+text (``_ParserExit``), which ``run`` writes to the call's own sinks, so
+``run`` never touches ``sys.stdout`` or ``sys.stderr`` unless they are
+the sinks, and concurrent calls need no lock.  Output is deterministic
+byte-for-byte.  Text tables are tab-separated; polynomials
 use the display grammar of the polynomial module.  With ``--format json``
 every rational is emitted as a two-field record of decimal strings
 (``{"num": ..., "den": ...}``) -- never as a float, because the
@@ -17,8 +21,9 @@ every process of the package, the ``powersums`` command (``main``) and
 ``scripts/run_verification.py`` alike, and adds three more: 141 when
 stdout is closed early (a broken pipe, as in ``powersums ... | head -1``;
 nothing on stderr), 130 on an interrupt, and 3 on any other uncaught
-error (traceback on stderr) or when stdout cannot be written (one line
-on stderr).
+error (traceback on stderr) or when an output stream cannot be written
+(one line on stderr, if stderr can take it).  Each of these codes is the
+same whether or not the streams are buffered.
 """
 
 from __future__ import annotations
@@ -29,9 +34,7 @@ import gc
 import os
 import re
 import sys
-import threading
 from collections.abc import Callable, Iterable
-from contextlib import redirect_stderr, redirect_stdout
 from io import TextIOBase
 
 from .exact_arith import Rational
@@ -52,8 +55,26 @@ _BOUNDS = tuple(dict.fromkeys(key for suite in SUITES.values() for key in suite.
 # lines, as values that ``print`` formats.  Costly lines come from a
 # generator, so JSON output never formats them.
 _Result = tuple[int, dict[str, object], Iterable[object]]
-# Held while a parse redirects the process-wide sys.stdout and sys.stderr.
-_REDIRECT_LOCK = threading.Lock()
+
+
+class _ParserExit(Exception):
+    """Help (exit code 0) or a usage error (2); its args are the code and the text argparse would print."""
+
+    def write(self, stdout: TextIOBase, stderr: TextIOBase) -> int:
+        """Write the text where argparse would, help to stdout and errors to stderr; returns the code."""
+        code, text = self.args
+        (stderr if code else stdout).write(text)
+        return code
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises its help and usage errors as ``_ParserExit`` instead of printing them."""
+
+    def print_help(self, file: TextIOBase | None = None) -> None:
+        raise _ParserExit(0, self.format_help())
+
+    def error(self, message: str) -> None:
+        raise _ParserExit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
 def _uint(minimum: int):
@@ -88,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS,
                         help="output format (default: text)")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="powersums",
         description="Exact power-sum polynomials, Bernoulli numbers, and T-basis forms.",
         parents=[output],
@@ -219,13 +240,10 @@ def run(argv: Iterable[str], stdout: TextIOBase | None = None, stderr: TextIOBas
     err = sys.stderr if stderr is None else stderr
     parser = build_parser()
     try:
-        # argparse prints usage/help straight to sys.std{out,err}; route both,
-        # one call at a time, so overlapping calls restore the streams in order.
-        with _REDIRECT_LOCK, redirect_stdout(out), redirect_stderr(err):
-            args = parser.parse_args(list(argv))
-            _validate(parser, args)
-    except SystemExit as exc:
-        return exc.code
+        args = parser.parse_args(list(argv))
+        _validate(parser, args)
+    except _ParserExit as exc:
+        return exc.write(out, err)
     code, payload, lines = args.handler(args)
     if getattr(args, "format", "text") == "json":
         import json  # only JSON output pays for loading the encoder
@@ -237,54 +255,78 @@ def run(argv: Iterable[str], stdout: TextIOBase | None = None, stderr: TextIOBas
     return code
 
 
+def _flushed(stream: TextIOBase | None, fd: int, text: str = "") -> bool:
+    """Write ``text`` to a process stream and flush it; False if the stream cannot be written.
+
+    A stream that fails gets its fd pointed at devnull, so that the
+    interpreter's shutdown flush cannot fail on it a second time.
+    """
+    if stream is None:  # the fd was closed when the process started
+        return not text
+    try:
+        if text:
+            stream.write(text)
+        stream.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return False
+    return True
+
+
 def end_process(job: Callable[[], int]) -> None:
     """End the process with the exit code of ``job()``: the one exit policy of every entry point.
 
-    ``job`` returns 0 or 1 by its verdict; a usage error it raises as
-    ``SystemExit`` (argparse's 2) passes through.  The process exits 141
-    when stdout is closed early (a broken pipe, as in ``... | head -1``;
-    nothing on stderr), 3 with one line on stderr when stdout cannot be
-    written otherwise (closed from the start, or a full device), 130 on
-    an interrupt, and 3 with a traceback on any other uncaught error, so
-    a crash never reads as a failed verification.
+    ``job`` returns 0, 1 or 2 by its verdict; help or a usage error that a
+    script's parser raises (``_ParserExit``) is written here and exits 0 or
+    2.  The process exits 141 when stdout is closed early (a broken pipe,
+    as in ``... | head -1``; nothing on stderr), 3 when an output stream
+    cannot be written otherwise (closed from the start, or a full device;
+    one line on stderr if stderr can still take it), 130 on an interrupt,
+    and 3 with a traceback on any other uncaught error, so a crash never
+    reads as a failed verification.  Both streams are flushed here, so
+    the exit code is the same whether or not they are buffered.
 
     Two process-wide settings are ``end_process``'s alone; ``run`` leaves
     both as its caller set them.  It lifts the int-to-str digit limit
-    before the job, and once the exit code is fixed and stdout is flushed
-    it freezes the garbage collector (``gc.freeze``), so the interpreter's
-    shutdown collections skip the objects the process holds: atexit
-    handlers, stream flushing and module teardown still run, and the
-    output bytes and exit codes stay the same.
+    before the job, and once the exit code is fixed and both streams are
+    flushed it freezes the garbage collector (``gc.freeze``), so the
+    interpreter's shutdown collections skip the objects the process holds:
+    atexit handlers, stream flushing and module teardown still run, and
+    the output bytes and exit codes stay the same.
     """
     # Print integers of any size: Python 3.11+ (and 3.10.7+) refuse by
     # default to convert an int of more than 4300 digits to str.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    report = ""
     try:
         if sys.stdout is None:  # fd 1 was closed when the process started
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        code = job()
+        try:
+            code = job()
+        except _ParserExit as exc:
+            code = exc.write(sys.stdout, sys.stderr)
         # Flush inside the try, so that a closed pipe surfaces here.
         sys.stdout.flush()
+    except BrokenPipeError:
+        code = 141
     except OSError as exc:
-        # A job does no I/O but writing stdout, so that write failed.  The
-        # interpreter flushes stdout again at shutdown; point fd 1 at devnull
-        # so that flush cannot raise a second time.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, 1)
-        os.close(devnull)
-        if isinstance(exc, BrokenPipeError):
-            code = 141
-        else:
-            print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
-            code = 3
+        # A job does no I/O but writing its output, so that write failed.
+        # Were it stderr's, the report fails as well and nothing shows.
+        code, report = 3, f"error: cannot write to stdout: {exc}\n"
     except KeyboardInterrupt:
         code = 130
     except Exception:
         import traceback  # only a crash pays for loading it
 
-        traceback.print_exc()
-        code = 3
+        code, report = 3, traceback.format_exc()
+    # An unwritable stream turns a verdict (0 to 2) into 3; a closed pipe
+    # and an interrupt keep their own codes.
+    written = _flushed(sys.stdout, 1)
+    if not (_flushed(sys.stderr, 2, report) and written):
+        code = max(code, 3)
     # Every object alive now lives until exit; frozen, the shutdown
     # collections need not traverse them (about 12k after the import).
     gc.freeze()

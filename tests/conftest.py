@@ -90,14 +90,23 @@ def script_subprocess():
 
 @pytest.fixture
 def redirected():
-    """Run ``python *args`` with stdout redirected by the shell, as in ``>&-``; returns CompletedProcess."""
+    """Run ``python *args`` with its streams redirected by the shell, as in ``>&-``; returns CompletedProcess.
 
-    def invoke(redirect: str, *args: str):
+    ``unbuffered`` sets PYTHONUNBUFFERED to 1 (True) or unsets it (False);
+    by default the child inherits it.
+    """
+
+    def invoke(redirect: str, *args: str, unbuffered: bool | None = None):
+        env = _subprocess_env()
+        if unbuffered is not None:
+            env.pop("PYTHONUNBUFFERED", None)
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = "1"
         return subprocess.run(
             ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, *args],
             capture_output=True,
             text=True,
-            env=_subprocess_env(),
+            env=env,
             timeout=300,
         )
 

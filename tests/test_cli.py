@@ -483,6 +483,29 @@ class TestConcurrentRuns:
         for name, (out, err) in sinks.items():
             assert (codes[name], out.getvalue(), err.getvalue()) == expected, name
 
+    @pytest.mark.parametrize("argv", [["--help"], ["tform", "0"]], ids=["help", "usage-error"])
+    def test_other_threads_output_stays_out_of_the_sinks(self, cli, capsys, argv):
+        # While run writes its help or usage error, a second thread prints to
+        # the process streams; that text must reach them, not the call's sinks.
+        streams, seen = (sys.stdout, sys.stderr), []
+
+        def stray():
+            print("stray out")
+            print("stray err", file=sys.stderr)
+
+        def hook():
+            if not seen:
+                seen.append((sys.stdout, sys.stderr))
+                thread = threading.Thread(target=stray)
+                thread.start()
+                thread.join(10)
+
+        out, err = _HookedSink(hook), _HookedSink(hook)
+        code = powersums.cli.run(argv, out, err)
+        assert seen == [streams]  # run never rebinds sys.stdout or sys.stderr
+        assert (code, out.getvalue(), err.getvalue()) == cli(*argv)
+        assert capsys.readouterr() == ("stray out\n", "stray err\n")
+
 
 class TestJson:
     @pytest.mark.parametrize("argv", list(JSON_GOLDEN), ids=" ".join)
@@ -691,6 +714,9 @@ else:
 """
 
 
+NO_STDOUT = "error: cannot write to stdout: "
+
+
 class TestProcessEnd:
     """Both entry points end through ``cli.end_process``, by one exit table."""
 
@@ -705,6 +731,33 @@ class TestProcessEnd:
             pytest.skip("no /dev/full")
         proc = redirected(redirect, *entry)
         assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: cannot write to stdout: {reason}\n")
+
+    # (extra arguments, redirect, exit code, stderr), the same buffered or
+    # not; None for a usage error's stderr, whose usage line is argparse's.
+    REDIRECTS = {
+        "help-full": (("--help",), ">/dev/full", 3, f"{NO_STDOUT}[Errno 28] No space left on device\n"),
+        "both-full": ((), ">/dev/full 2>/dev/full", 3, ""),
+        "usage-stderr-full": (("--bogus",), "2>/dev/full", 3, ""),
+        "full": ((), ">/dev/full", 3, f"{NO_STDOUT}[Errno 28] No space left on device\n"),
+        "closed": ((), ">&-", 3, f"{NO_STDOUT}[Errno 9] Bad file descriptor\n"),
+        "usage": (("--bogus",), "", 2, None),
+        "stderr-full-unused": ((), ">/dev/null 2>/dev/full", 0, ""),
+    }
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+    @pytest.mark.parametrize("case", REDIRECTS.values(), ids=REDIRECTS)
+    def test_exit_code_does_not_depend_on_buffering(self, redirected, entry, case, unbuffered):
+        extra, redirect, code, err = case
+        if "/dev/full" in redirect and not Path("/dev/full").exists():
+            pytest.skip("no /dev/full")
+        proc = redirected(redirect, *entry, *extra, unbuffered=unbuffered)
+        assert (proc.returncode, proc.stdout) == (code, "")
+        if err is None:
+            assert proc.stderr.startswith("usage: ")
+            assert proc.stderr.endswith(": error: unrecognized arguments: --bogus\n")
+        else:
+            assert proc.stderr == err
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
     def test_crash_exits_3_with_traceback(self, popen, entry):
