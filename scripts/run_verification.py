@@ -23,11 +23,10 @@ def main() -> int:
     parser.add_argument("--max", type=int, default=200, help="largest m of pascal, faulhaber, odd-bernoulli")
     parser.add_argument("--max-m", type=int, default=10, help="telescoping: largest exponent m")
     parser.add_argument("--max-n", type=int, default=50, help="telescoping: largest upper limit N")
-    parser.add_argument("--table-max", type=int, default=400, help="largest Bernoulli index rechecked")
     bounds = vars(parser.parse_args())
     # A bound below the lowest index of a suite that takes it would sweep
     # nothing and still report a pass.
-    floors = {"table_max": 1}
+    floors = {}
     for suite in SUITES.values():
         for key in suite.defaults:
             floors[key] = max(floors.get(key, 0), suite.first)
@@ -41,9 +40,10 @@ def main() -> int:
         all_ok = all_ok and ok
         print(f"{name:<16} {'ok' if ok else 'FAILED':<7} {count:>5} instances  {time.monotonic() - start:7.3f}s")
 
-    # The table must satisfy its defining recurrence from the stored values alone.
+    # The table must satisfy its defining recurrence from the stored values
+    # alone, up to B_{2 max + 1}: the highest index the suites read.
     start = time.monotonic()
-    top = bounds["table_max"]
+    top = 2 * bounds["max"] + 1
     values = [bernoulli(k) for k in range(top + 1)]
     ok = all(sum(comb(n + 1, k) * values[k] for k in range(n + 1)) == 0 for n in range(1, top + 1))
     report("bernoulli", ok, top + 1, start)

@@ -34,8 +34,10 @@ Comparing the two representations coefficient by coefficient is a
 mechanical proof that the odd Bernoulli numbers B_3, B_5, ... vanish:
 expanding P(T) * T^2 in n produces no linear term, yet the Bernoulli
 form says the linear coefficient is -B_{2m+1}.  ``infer_odd_bernoulli``
-performs exactly that extraction, and it is what the table's listed
-zeros rest on.
+performs exactly that extraction.  ``check_odd_bernoulli`` makes both
+steps of the argument for one m: it pins the T-form against brute-force
+sums, and it computes B_{2m+1} from the recurrence to compare with the
+extraction and with the table's listed zero, which rests on it.
 
 ``SUITES`` is the one registry of verification suites: for each of
 pascal, faulhaber, odd-bernoulli and telescoping it holds the default
@@ -60,7 +62,7 @@ from itertools import accumulate, product
 from math import comb, lcm
 
 from .exact_arith import Rational
-from .polynomial import Polynomial, _Record, monomial, poly_combination, poly_from_numerators, t_to_n
+from .polynomial import Polynomial, _Record, monomial, poly_combination, poly_eval, poly_from_numerators, t_to_n
 
 
 class BernoulliTable:
@@ -75,7 +77,7 @@ class BernoulliTable:
     binomial.  The even values are then
     B_n = (-1)^(n/2 - 1) * n * E_{n-1} / (2^n * (2^n - 1)), reduced by a
     single gcd; B_1 = -1/2, and B_3 = B_5 = ... = 0 is listed, not
-    computed: ``infer_odd_bernoulli`` proves it by the T-route.
+    computed: ``check_odd_bernoulli`` proves it by the T-route.
     Extension happens under a lock, so a table may be shared by
     concurrent readers.
     """
@@ -255,9 +257,35 @@ def infer_odd_bernoulli(m: int) -> Rational:
     The Bernoulli form of S_{2m+1} carries the linear coefficient
     -C(2m+2, 2m+1) * B_{2m+1} / (2m+2) = -B_{2m+1}, while the expansion
     of P(T) * T^2 in n has no linear term at all.  Negating the linear
-    coefficient found on the T-route therefore *is* B_{2m+1}.
+    coefficient found on the T-route therefore *is* B_{2m+1}, once that
+    route is shown right (``check_odd_bernoulli``).
     """
     return -_t_route(m).coefficient(1)
+
+
+def check_odd_bernoulli(m: int) -> tuple[str, bool]:
+    """Both steps of the proof that B_{2m+1} = 0, for one m; the odd-bernoulli suite's check.
+
+    (a) The T-route is right: P_m(T_n) * T_n^2 = S_{2m+1}(n) at
+    n = 1..m, against running integer sums.  P_m has degree below m
+    (checked), so these m points pin it; this step reads no Bernoulli
+    number.
+    (b) B_{2m+1}, computed from its recurrence row
+    sum_{k <= 2m+1} C(2m+2, k) * B_k = 0 over the stored B_0..B_{2m}, in
+    ints over one common denominator, equals ``infer_odd_bernoulli(m)``
+    and the table's listed entry.  Swept upward in m, the odd values the
+    row reads are those that earlier instances checked.
+    """
+    p = power_sum_tform(m).p
+    route = monomial(1, 2, "T") * p
+    sums = accumulate(n ** (2 * m + 1) for n in range(1, m + 1))
+    pinned = p.degree < m and all(poly_eval(route, t) == s for t, s in zip(accumulate(range(1, m + 1)), sums))
+    order = 2 * m + 2
+    row = [bernoulli(k) for k in range(order - 1)]
+    common = lcm(*[b.denominator for b in row])
+    total = sum(comb(order, k) * b.numerator * (common // b.denominator) for k, b in enumerate(row))
+    value = Rational(-total, common * order)  # the row's last term is C(2m+2, 2m+1) * B_{2m+1}
+    return f"odd-bernoulli m={m}", pinned and value == infer_odd_bernoulli(m) == bernoulli(2 * m + 1)
 
 
 class Suite(_Record):
@@ -292,13 +320,6 @@ def _outcome(report: VerificationReport) -> tuple[str, bool]:
 SUITES: dict[str, Suite] = {
     "pascal": Suite({"max": 40}, 2, lambda m: _outcome(verify_pascal_identity(m))),
     "faulhaber": Suite({"max": 40}, 1, lambda m: _outcome(verify_faulhaber(m))),
-    # The table's odd zeros are structural, listed rather than computed, so
-    # this suite's proof rests on infer_odd_bernoulli, the T-route; the
-    # table's entry is only checked to agree with it.
-    "odd-bernoulli": Suite(
-        {"max": 40},
-        1,
-        lambda m: (f"odd-bernoulli m={m}", infer_odd_bernoulli(m) == 0 and bernoulli(2 * m + 1) == 0),
-    ),
+    "odd-bernoulli": Suite({"max": 40}, 1, lambda m: check_odd_bernoulli(m)),
     "telescoping": Suite({"max_m": 10, "max_n": 50}, 1, lambda m, n: _outcome(telescoping_check(m, n))),
 }

@@ -4,10 +4,12 @@ import gc
 import hashlib
 import io
 import json
+import random
 import sys
 import threading
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +22,7 @@ from powersums.faulhaber import (
     power_sum_poly_n,
     power_sum_tform,
 )
-from powersums.polynomial import Polynomial
+from powersums.polynomial import Polynomial, monomial
 
 BERNOULLI_5_GOLDEN = (
     "0\t1\n"
@@ -315,6 +317,19 @@ _BROKEN_CHECKS = {
 }
 
 
+def _vanishing_at_the_pin(m):
+    """7 * (T - T_1) * ... * (T - T_m): zero at every T_n that the odd-bernoulli pin evaluates."""
+    poly = monomial(7, 0, "T")
+    for n in range(1, m + 1):
+        poly = poly * Polynomial((-n * (n + 1) // 2, 1), "T")
+    return poly
+
+
+# Errors added to P_m: one of the same degree, and one of degree m that
+# the m points of the pin cannot see.
+WRONG_TFORMS = {"constant": lambda m: monomial(7, 0, "T"), "degree-m": _vanishing_at_the_pin}
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, cli):
         code, out, err = cli("frobnicate")
@@ -391,6 +406,32 @@ class TestExitCodes:
         assert '"all_pass": false' in out
         payload = json.loads(out)
         assert (payload["passed"], payload["total"]) == (0, len(labels))
+
+    @pytest.mark.parametrize("error", WRONG_TFORMS.values(), ids=WRONG_TFORMS)
+    def test_wrong_tform_fails_odd_bernoulli(self, cli, monkeypatch, error):
+        # A wrong P_m still expands to a multiple of T^2, so its linear
+        # n-coefficient, the inferred B_{2m+1}, stays 0; only the pin of the
+        # T-route against brute-force sums can catch it.
+        right = {m: power_sum_tform(m).p for m in (1, 2, 3)}
+        monkeypatch.setattr(
+            powersums.faulhaber, "power_sum_tform", lambda m: SimpleNamespace(m=m, p=right[m] + error(m))
+        )
+        code, out, _ = cli("verify", "odd-bernoulli", "--max", "3")
+        assert code == 1
+        assert out.splitlines() == [f"FAIL odd-bernoulli m={m}" for m in (1, 2, 3)] + ["odd-bernoulli: 0/3 passed"]
+
+    def test_wrong_even_bernoulli_fails_odd_bernoulli(self, cli, monkeypatch):
+        # Only the recurrence row reads the even values: a wrong B_4 makes the
+        # row's B_5 and B_7 nonzero, so m = 2 and 3 fail, and m = 1 passes.
+        monkeypatch.setattr(powersums.faulhaber, "bernoulli", lambda k: Fraction(1, 7) if k == 4 else bernoulli(k))
+        code, out, _ = cli("verify", "odd-bernoulli", "--max", "3")
+        assert code == 1
+        assert out.splitlines() == [
+            "PASS odd-bernoulli m=1",
+            "FAIL odd-bernoulli m=2",
+            "FAIL odd-bernoulli m=3",
+            "odd-bernoulli: 1/3 passed",
+        ]
 
     def test_disagreeing_eval_exits_one(self, cli, monkeypatch):
         monkeypatch.setattr(powersums.cli, "power_sum_direct", lambda m, n: 0)
@@ -506,6 +547,58 @@ class TestConcurrentRuns:
         assert (code, out.getvalue(), err.getvalue()) == cli(*argv)
         assert capsys.readouterr() == ("stray out\n", "stray err\n")
 
+    # Valid commands, help and usage errors, for one parser shared by threads.
+    SHARED_PARSES = (
+        ("tform", "5"),
+        ("--format", "json", "bernoulli", "12"),
+        ("coeffs", "3", "--format", "text"),
+        ("powersum", "7", "--basis", "t"),
+        ("verify", "telescoping", "--max-m", "2", "--max-n", "3"),
+        ("verify", "pascal"),
+        ("eval", "3", "4"),
+        ("--help",),
+        ("verify", "--help"),
+        ("tform", "0"),
+        ("bernoulli", "x"),
+        ("coeffs", "3", "--bogus"),
+        ("frobnicate",),
+        (),
+    )
+
+    def test_one_parser_serves_concurrent_parses(self):
+        # Sharing one build_parser() result across threads (memoising it)
+        # needs concurrent parse_args calls on it not to interfere.
+        parser = powersums.cli.build_parser()
+
+        def parse(argv):
+            try:
+                return parser.parse_args(list(argv))
+            except powersums.cli._ParserExit as exc:
+                return exc.args
+
+        expected = {argv: parse(argv) for argv in self.SHARED_PARSES}
+        start = threading.Barrier(4)
+        results = {}
+
+        def worker(seed: int) -> None:
+            argvs = random.Random(seed).choices(self.SHARED_PARSES, k=200)
+            start.wait(10)
+            results[seed] = [(argv, parse(argv)) for argv in argvs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-parse
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(results) == [0, 1, 2, 3]
+        for parses in results.values():
+            assert [result for _, result in parses] == [expected[argv] for argv, _ in parses]
+
 
 class TestJson:
     @pytest.mark.parametrize("argv", list(JSON_GOLDEN), ids=" ".join)
@@ -570,6 +663,26 @@ class TestJson:
         assert before == after
 
 
+# Each process entry point, as ``python`` arguments for a short run that passes.
+ENTRY_POINTS = {
+    "cli": ("-m", "powersums", "tform", "3"),
+    "sweep-script": (
+        str(Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"),
+        "--max", "2", "--max-m", "1", "--max-n", "1",
+    ),
+}
+
+# Runs under -X dev, as ``python`` arguments: the CLI's exits 0 and 2, and
+# the sweep script.
+DEV_MODE_RUNS = {
+    "verify-text": ("-m", "powersums", "verify", "faulhaber", "--max", "5"),
+    "verify-json": ("-m", "powersums", "--format", "json", "verify", "faulhaber", "--max", "5"),
+    "bernoulli-json": ("-m", "powersums", "--format", "json", "bernoulli", "30"),
+    "usage-error": ("-m", "powersums", "tform", "0"),
+    "sweep-script": ENTRY_POINTS["sweep-script"],
+}
+
+
 class TestSubprocess:
     def test_module_entry_point(self, cli_subprocess, cli):
         proc = cli_subprocess("bernoulli", "5")
@@ -605,13 +718,20 @@ class TestSubprocess:
         assert (proc.returncode, err) == (0, b"atexit ran\n")
         assert out.decode() == cli("bernoulli", "400")[1]
 
-    def test_dev_mode_exit_is_silent(self, popen, cli):
-        # -X dev shows ResourceWarnings and unraisable exceptions at exit.
-        argv = ("--format", "json", "verify", "faulhaber", "--max", "5")
-        proc = popen("-X", "dev", "-m", "powersums", *argv)
+    @pytest.mark.parametrize("args", DEV_MODE_RUNS.values(), ids=DEV_MODE_RUNS)
+    def test_dev_mode_exit_is_silent(self, popen, cli, monkeypatch, args):
+        # -X dev shows ResourceWarnings and unraisable exceptions at exit, so
+        # the child writes exactly the in-process bytes (a usage error's too,
+        # from the same argparse) only if it shows none.  The sweep script's
+        # lines carry timings: it must pass with nothing on stderr.
+        monkeypatch.setenv("COLUMNS", "80")  # one usage width for both processes
+        proc = popen("-X", "dev", *args)
         out, err = proc.communicate(timeout=60)
-        assert (proc.returncode, err) == (0, b"")
-        assert out.decode() == cli(*argv)[1]
+        if args[:2] == ("-m", "powersums"):
+            assert (proc.returncode, out.decode(), err.decode()) == cli(*args[2:])
+        else:
+            assert (proc.returncode, err) == (0, b"")
+            assert out.decode().endswith("all suites passed\n")
 
 
 class TestProcessEntryPoint:
@@ -689,15 +809,6 @@ cli.main(sys.argv[1:])
         assert (proc.returncode, out, err) == (0, b"\n", b"")
 
 
-# Each process entry point, as ``python`` arguments for a short run that passes.
-ENTRY_POINTS = {
-    "cli": ("-m", "powersums", "tform", "3"),
-    "sweep-script": (
-        str(Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"),
-        "--max", "2", "--max-m", "1", "--max-n", "1", "--table-max", "2",
-    ),
-}
-
 # ``python -c LAUNCH ARGS...`` runs ARGS (``-m MODULE ...`` or ``SCRIPT ...``)
 # as ``python ARGS...`` would, after PLANT has patched the faulhaber module.
 # No entry point has imported powersums.cli yet, so its names bind to the patch.
@@ -719,18 +830,6 @@ NO_STDOUT = "error: cannot write to stdout: "
 
 class TestProcessEnd:
     """Both entry points end through ``cli.end_process``, by one exit table."""
-
-    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
-    @pytest.mark.parametrize(
-        "redirect, reason",
-        [(">&-", "[Errno 9] Bad file descriptor"), (">/dev/full", "[Errno 28] No space left on device")],
-        ids=["closed", "full"],
-    )
-    def test_unwritable_stdout_exits_3_with_one_line(self, redirected, entry, redirect, reason):
-        if redirect == ">/dev/full" and not Path("/dev/full").exists():
-            pytest.skip("no /dev/full")
-        proc = redirected(redirect, *entry)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: cannot write to stdout: {reason}\n")
 
     # (extra arguments, redirect, exit code, stderr), the same buffered or
     # not; None for a usage error's stderr, whose usage line is argparse's.
@@ -781,6 +880,28 @@ class TestProcessEnd:
             ["telescoping", "ok"],
         ]
         assert lines[-1] == "FAILURES PRESENT"
+
+    @pytest.mark.parametrize("top", [2, 5])
+    def test_sweep_rechecks_every_bernoulli_value_it_reads(self, popen, top):
+        # The recheck reads B_0..B_K first; no suite after it reads past B_K,
+        # and one reads B_K itself, so K is no wider than it needs to be.
+        plant = (
+            "import atexit\n"
+            "reads, get = [], faulhaber.BernoulliTable.get\n"
+            "def spy(table, k):\n"
+            "    reads.append(k)\n"
+            "    return get(table, k)\n"
+            "faulhaber.BernoulliTable.get = spy\n"
+            "atexit.register(lambda: print(*reads, file=sys.stderr))\n"
+        )
+        script = ENTRY_POINTS["sweep-script"][0]
+        proc = popen("-c", LAUNCH.format(plant=plant), script, "--max", str(top), "--max-m", "1", "--max-n", "1")
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        rechecked = int(out.split()[2])  # the count on the bernoulli line
+        reads = [int(k) for k in err.split()]
+        assert reads[:rechecked] == list(range(rechecked))
+        assert max(reads[rechecked:]) == rechecked - 1
 
     def test_closed_pipe_exits_141(self, popen):
         job = (
