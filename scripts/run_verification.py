@@ -11,10 +11,9 @@ unwritable output stream.
 """
 
 import time
-from math import comb
 
 from powersums.cli import _Parser, end_process
-from powersums.faulhaber import SUITES, bernoulli
+from powersums.faulhaber import SUITES, bernoulli, bernoulli_from_recurrence
 
 
 def main() -> int:
@@ -40,12 +39,12 @@ def main() -> int:
         all_ok = all_ok and ok
         print(f"{name:<16} {'ok' if ok else 'FAILED':<7} {count:>5} instances  {time.monotonic() - start:7.3f}s")
 
-    # The table must satisfy its defining recurrence from the stored values
-    # alone, up to B_{2 max + 1}: the highest index the suites read.
+    # Each stored B_n, up to B_{2 max + 1} (the highest index the suites
+    # read), must be what the defining recurrence gives from B_0..B_{n-1}.
     start = time.monotonic()
     top = 2 * bounds["max"] + 1
     values = [bernoulli(k) for k in range(top + 1)]
-    ok = all(sum(comb(n + 1, k) * values[k] for k in range(n + 1)) == 0 for n in range(1, top + 1))
+    ok = all(bernoulli_from_recurrence(values[:n]) == values[n] for n in range(1, top + 1))
     report("bernoulli", ok, top + 1, start)
 
     for name, suite in SUITES.items():

@@ -11,7 +11,9 @@ T = n(n+1)/2:
   recurrence: it reads each even B_n off the zigzag number E_{n-1} of
   the Seidel boustrophedon triangle, by integer additions alone, and
   lists the odd ones past B_1 as 0.  The recurrence stays the oracle the
-  tests and ``scripts/run_verification.py`` recheck it against.
+  table is rechecked against: ``bernoulli_from_recurrence`` is its one
+  implementation, which ``check_odd_bernoulli`` and
+  ``scripts/run_verification.py`` both call.
 
 * The telescoping ladder.  Summing the telescoped differences
   (T_k)^m - (T_{k-1})^m = (k/2)^m * ((k+1)^m - (k-1)^m) and expanding by
@@ -30,14 +32,17 @@ T = n(n+1)/2:
   2^m * T^(m-1) = sum over j of C(m+1, j) * P_{(m+j)/2}(T), whose top
   term is (m+1) * P_m, by eliminating the lower forms.
 
-Comparing the two representations coefficient by coefficient is a
-mechanical proof that the odd Bernoulli numbers B_3, B_5, ... vanish:
-expanding P(T) * T^2 in n produces no linear term, yet the Bernoulli
-form says the linear coefficient is -B_{2m+1}.  ``infer_odd_bernoulli``
-performs exactly that extraction.  ``check_odd_bernoulli`` makes both
-steps of the argument for one m: it pins the T-form against brute-force
+Comparing the two representations is a mechanical proof that the odd
+Bernoulli numbers B_3, B_5, ... vanish: the Bernoulli form says the
+linear n-coefficient of S_{2m+1} is -B_{2m+1}, and P(T) * T^2 has none.
+No expansion in n is needed to see it.  Under T = (n^2 + n)/2 only T's
+own linear term reaches n^1, so [n^1] Q(T(n)) = q_1 / 2 for every
+T-polynomial Q, and T^2 makes q_1 = 0.  ``infer_odd_bernoulli`` reads
+B_{2m+1} off the T-route that way.  ``check_odd_bernoulli`` makes both
+steps of the argument for one m: it pins the T-route against brute-force
 sums, and it computes B_{2m+1} from the recurrence to compare with the
-extraction and with the table's listed zero, which rests on it.
+inferred value and with the table's listed zero, which rests on it.
+``_t_route`` is the one place that builds P_m(T) * T^2.
 
 ``SUITES`` is the one registry of verification suites: for each of
 pascal, faulhaber, odd-bernoulli and telescoping it holds the default
@@ -213,8 +218,8 @@ def telescoping_check(m: int, n: int) -> VerificationReport:
     rhs_value = sum((k * (k + 1) // 2) ** m - ((k - 1) * k // 2) ** m for k in range(1, n + 1))
     return VerificationReport(
         f"telescoping m={m} N={n}",
-        Polynomial((lhs_value,), "n"),
-        Polynomial((rhs_value,), "n"),
+        poly_from_numerators((lhs_value,), 1, "n"),
+        poly_from_numerators((rhs_value,), 1, "n"),
     )
 
 
@@ -242,49 +247,60 @@ def faulhaber_coefficients(m: int) -> list[Rational]:
 
 
 def _t_route(m: int) -> Polynomial:
-    """S_{2m+1} in n by the T-route: P_m(T) * T^2 with T = (n^2+n)/2 substituted."""
-    return t_to_n(monomial(1, 2, "T") * power_sum_tform(m).p)
+    """S_{2m+1} by the T-route, P_m(T) * T^2, still in T."""
+    return monomial(1, 2, "T") * power_sum_tform(m).p
 
 
 def verify_faulhaber(m: int) -> VerificationReport:
-    """Cross-check the T-route against the Bernoulli route for S_{2m+1}."""
-    return VerificationReport(f"faulhaber m={m}", _t_route(m), power_sum_poly_n(2 * m + 1))
+    """Cross-check the T-route, expanded in n, against the Bernoulli route for S_{2m+1}."""
+    return VerificationReport(f"faulhaber m={m}", t_to_n(_t_route(m)), power_sum_poly_n(2 * m + 1))
 
 
 def infer_odd_bernoulli(m: int) -> Rational:
-    """Read B_{2m+1} off the expanded T-form; always exactly zero.
+    """Read B_{2m+1} off the T-route, without expanding it; always exactly zero.
 
     The Bernoulli form of S_{2m+1} carries the linear coefficient
-    -C(2m+2, 2m+1) * B_{2m+1} / (2m+2) = -B_{2m+1}, while the expansion
-    of P(T) * T^2 in n has no linear term at all.  Negating the linear
-    coefficient found on the T-route therefore *is* B_{2m+1}, once that
-    route is shown right (``check_odd_bernoulli``).
+    -C(2m+2, 2m+1) * B_{2m+1} / (2m+2) = -B_{2m+1}.  Under
+    T = (n^2 + n)/2 only T's own linear term reaches n^1, so for every
+    T-polynomial Q the n-coefficient [n^1] Q(T(n)) is q_1 / 2.  The T-route
+    P(T) * T^2 has q_1 = 0, hence no linear term in n, and negating that
+    coefficient *is* B_{2m+1}, once the route is shown right
+    (``check_odd_bernoulli``).
     """
-    return -_t_route(m).coefficient(1)
+    return -_t_route(m).coefficient(1) / 2
+
+
+def bernoulli_from_recurrence(row: list[Rational]) -> Rational:
+    """B_n from row = B_0..B_{n-1}, n >= 1, by sum_{k <= n} C(n+1, k) * B_k = 0.
+
+    The row is summed in ints over one common denominator, the lcm of its
+    denominators, and reduced once.  This is the oracle the table is
+    rechecked against: it shares nothing with the zigzag numbers.
+    """
+    n = len(row)
+    common = lcm(*[b.denominator for b in row])
+    total = sum(comb(n + 1, k) * b.numerator * (common // b.denominator) for k, b in enumerate(row))
+    return Rational(-total, common * (n + 1))
 
 
 def check_odd_bernoulli(m: int) -> tuple[str, bool]:
     """Both steps of the proof that B_{2m+1} = 0, for one m; the odd-bernoulli suite's check.
 
     (a) The T-route is right: P_m(T_n) * T_n^2 = S_{2m+1}(n) at
-    n = 1..m, against running integer sums.  P_m has degree below m
-    (checked), so these m points pin it; this step reads no Bernoulli
-    number.
-    (b) B_{2m+1}, computed from its recurrence row
-    sum_{k <= 2m+1} C(2m+2, k) * B_k = 0 over the stored B_0..B_{2m}, in
-    ints over one common denominator, equals ``infer_odd_bernoulli(m)``
-    and the table's listed entry.  Swept upward in m, the odd values the
-    row reads are those that earlier instances checked.
+    n = 1..m, against running integer sums.  The route has degree below
+    m + 2 (checked), so these m points pin P_m; this step reads no
+    Bernoulli number.
+    (b) B_{2m+1} from ``bernoulli_from_recurrence`` over the stored
+    B_0..B_{2m} equals ``infer_odd_bernoulli(m)`` and the table's listed
+    entry.  The inferred value is the route's linear T-coefficient over 2,
+    0 because of the T^2 factor: [n^1] Q(T(n)) = q_1 / 2 for every
+    T-polynomial Q, so no expansion in n is needed.  Swept upward in m,
+    the odd values the row reads are those that earlier instances checked.
     """
-    p = power_sum_tform(m).p
-    route = monomial(1, 2, "T") * p
+    route = _t_route(m)
     sums = accumulate(n ** (2 * m + 1) for n in range(1, m + 1))
-    pinned = p.degree < m and all(poly_eval(route, t) == s for t, s in zip(accumulate(range(1, m + 1)), sums))
-    order = 2 * m + 2
-    row = [bernoulli(k) for k in range(order - 1)]
-    common = lcm(*[b.denominator for b in row])
-    total = sum(comb(order, k) * b.numerator * (common // b.denominator) for k, b in enumerate(row))
-    value = Rational(-total, common * order)  # the row's last term is C(2m+2, 2m+1) * B_{2m+1}
+    pinned = route.degree < m + 2 and all(poly_eval(route, t) == s for t, s in zip(accumulate(range(1, m + 1)), sums))
+    value = bernoulli_from_recurrence([bernoulli(k) for k in range(2 * m + 1)])
     return f"odd-bernoulli m={m}", pinned and value == infer_odd_bernoulli(m) == bernoulli(2 * m + 1)
 
 

@@ -881,6 +881,27 @@ class TestProcessEnd:
         ]
         assert lines[-1] == "FAILURES PRESENT"
 
+    def test_wrong_table_value_fails_the_sweep_recheck(self, popen):
+        # A wrong B_10 breaks the recurrence at n = 10 (from B_0..B_9) and at
+        # n = 11 (whose row reads it); the suites that read B_10 fail too.
+        plant = (
+            "get = faulhaber.BernoulliTable.get\n"
+            "faulhaber.BernoulliTable.get = lambda table, k: faulhaber.Rational(1, 7) if k == 10 else get(table, k)\n"
+        )
+        script = ENTRY_POINTS["sweep-script"][0]
+        proc = popen("-c", LAUNCH.format(plant=plant), script, "--max", "5", "--max-m", "1", "--max-n", "1")
+        out, err = proc.communicate(timeout=60)
+        lines = out.decode().splitlines()
+        assert (proc.returncode, err) == (1, b"")
+        assert [line.split()[:3] for line in lines[:-1]] == [
+            ["bernoulli", "FAILED", "12"],
+            ["pascal", "ok", "4"],
+            ["faulhaber", "FAILED", "5"],
+            ["odd-bernoulli", "FAILED", "5"],
+            ["telescoping", "ok", "1"],
+        ]
+        assert lines[-1] == "FAILURES PRESENT"
+
     @pytest.mark.parametrize("top", [2, 5])
     def test_sweep_rechecks_every_bernoulli_value_it_reads(self, popen, top):
         # The recheck reads B_0..B_K first; no suite after it reads past B_K,

@@ -18,6 +18,8 @@ from powersums.faulhaber import (
     FaulhaberForm,
     VerificationReport,
     bernoulli,
+    bernoulli_from_recurrence,
+    check_odd_bernoulli,
     faulhaber_coefficients,
     infer_odd_bernoulli,
     power_sum_direct,
@@ -72,6 +74,11 @@ class TestBernoulli:
     def test_fresh_table_matches_shared(self):
         table = BernoulliTable()
         assert [table.get(k) for k in range(25)] == [bernoulli(k) for k in range(25)]
+
+    def test_recurrence_matches_the_fraction_oracle(self):
+        values = fraction_recurrence(300)
+        for n in range(1, 301):
+            assert bernoulli_from_recurrence(values[:n]) == values[n], n
 
     def test_defining_recurrence_rechecks(self):
         # The recurrence that generated the table must re-verify from the
@@ -400,11 +407,22 @@ class TestOddBernoulli:
         assert inferred == 0
         assert inferred == bernoulli(2 * m + 1)
 
-    @pytest.mark.parametrize("m", range(1, 41))
+    def test_proof_expands_nothing_in_n(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("the odd-Bernoulli proof expanded a T-polynomial in n")
+
+        monkeypatch.setattr(faulhaber, "t_to_n", refuse)
+        for m in range(1, 21):
+            assert infer_odd_bernoulli(m) == 0
+            assert check_odd_bernoulli(m) == (f"odd-bernoulli m={m}", True)
+
+    @pytest.mark.parametrize("m", range(1, 61))
     def test_no_linear_or_constant_term(self, m):
         expanded = t_to_n(power_sum_tform(m).p * monomial(1, 2, "T"))
         assert expanded.coefficient(0) == 0
         assert expanded.coefficient(1) == 0
+        # The inference reads the same value without expanding.
+        assert infer_odd_bernoulli(m) == -expanded.coefficient(1)
 
 
 class TestRecords:

@@ -244,6 +244,13 @@ class TestCompose:
         p = Polynomial((1, 0, 0, 2), "T")
         assert t_to_n(p).degree == p.degree * T_AS_N_POLY.degree
 
+    @given(polys("T"))
+    def test_linear_coefficient_is_half_the_linear_t_coefficient(self, q):
+        # [n^1] Q(T(n)) = q_1 / 2: only T's own linear term reaches n^1.
+        # Q + T has q_1 one larger, so at least one of the two is nonzero.
+        for poly in (q, q + monomial(1, 1, "T")):
+            assert t_to_n(poly).coefficient(1) == poly.coefficient(1) / 2
+
 
 class TestTtoN:
     def test_t_itself(self):
