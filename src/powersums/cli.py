@@ -17,13 +17,13 @@ coefficients outgrow 64-bit range almost immediately.
 Exit codes: 0 on success with all verifications passing, 1 if any
 verification instance fails, 2 on usage or parse errors (which print a
 usage message to stderr and nothing to stdout).  ``end_process`` ends
-every process of the package, the ``powersums`` command (``main``) and
-``scripts/run_verification.py`` alike, and adds three more: 141 when
-stdout is closed early (a broken pipe, as in ``powersums ... | head -1``;
-nothing on stderr), 130 on an interrupt, and 3 on any other uncaught
-error (traceback on stderr) or when an output stream cannot be written
-(one line on stderr, if stderr can take it).  Each of these codes is the
-same whether or not the streams are buffered.
+the process of the ``powersums`` command (``main``), the package's one
+process entry point, and adds three more: 141 when stdout is closed
+early (a broken pipe, as in ``powersums ... | head -1``; nothing on
+stderr), 130 on an interrupt, and 3 on any other uncaught error
+(traceback on stderr) or when an output stream cannot be written (one
+line on stderr, if stderr can take it).  Each of these codes is the same
+whether or not the streams are buffered.
 """
 
 from __future__ import annotations
@@ -59,12 +59,6 @@ _Result = tuple[int, dict[str, object], Iterable[object]]
 
 class _ParserExit(Exception):
     """Help (exit code 0) or a usage error (2); its args are the code and the text argparse would print."""
-
-    def write(self, stdout: TextIOBase, stderr: TextIOBase) -> int:
-        """Write the text where argparse would, help to stdout and errors to stderr; returns the code."""
-        code, text = self.args
-        (stderr if code else stdout).write(text)
-        return code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,7 +237,10 @@ def run(argv: Iterable[str], stdout: TextIOBase | None = None, stderr: TextIOBas
         args = parser.parse_args(list(argv))
         _validate(parser, args)
     except _ParserExit as exc:
-        return exc.write(out, err)
+        # Where argparse would write it: help to stdout, errors to stderr.
+        code, text = exc.args
+        (err if code else out).write(text)
+        return code
     code, payload, lines = args.handler(args)
     if getattr(args, "format", "text") == "json":
         import json  # only JSON output pays for loading the encoder
@@ -276,17 +273,16 @@ def _flushed(stream: TextIOBase | None, fd: int, text: str = "") -> bool:
 
 
 def end_process(job: Callable[[], int]) -> None:
-    """End the process with the exit code of ``job()``: the one exit policy of every entry point.
+    """End the process with the exit code of ``job()``: the package's one exit policy.
 
-    ``job`` returns 0, 1 or 2 by its verdict; help or a usage error that a
-    script's parser raises (``_ParserExit``) is written here and exits 0 or
-    2.  The process exits 141 when stdout is closed early (a broken pipe,
-    as in ``... | head -1``; nothing on stderr), 3 when an output stream
-    cannot be written otherwise (closed from the start, or a full device;
-    one line on stderr if stderr can still take it), 130 on an interrupt,
-    and 3 with a traceback on any other uncaught error, so a crash never
-    reads as a failed verification.  Both streams are flushed here, so
-    the exit code is the same whether or not they are buffered.
+    ``job`` returns 0, 1 or 2 by its verdict.  The process exits 141 when
+    stdout is closed early (a broken pipe, as in ``... | head -1``; nothing
+    on stderr), 3 when an output stream cannot be written otherwise
+    (closed from the start, or a full device; one line on stderr if
+    stderr can still take it), 130 on an interrupt, and 3 with a
+    traceback on any other uncaught error, so a crash never reads as a
+    failed verification.  Both streams are flushed here, so the exit code
+    is the same whether or not they are buffered.
 
     Two process-wide settings are ``end_process``'s alone; ``run`` leaves
     both as its caller set them.  It lifts the int-to-str digit limit
@@ -304,10 +300,7 @@ def end_process(job: Callable[[], int]) -> None:
     try:
         if sys.stdout is None:  # fd 1 was closed when the process started
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        try:
-            code = job()
-        except _ParserExit as exc:
-            code = exc.write(sys.stdout, sys.stderr)
+        code = job()
         # Flush inside the try, so that a closed pipe surfaces here.
         sys.stdout.flush()
     except BrokenPipeError:

@@ -12,8 +12,7 @@ T = n(n+1)/2:
   the Seidel boustrophedon triangle, by integer additions alone, and
   lists the odd ones past B_1 as 0.  The recurrence stays the oracle the
   table is rechecked against: ``bernoulli_from_recurrence`` is its one
-  implementation, which ``check_odd_bernoulli`` and
-  ``scripts/run_verification.py`` both call.
+  implementation, which ``check_odd_bernoulli`` calls.
 
 * The telescoping ladder.  Summing the telescoped differences
   (T_k)^m - (T_{k-1})^m = (k/2)^m * ((k+1)^m - (k-1)^m) and expanding by
@@ -49,7 +48,7 @@ pascal, faulhaber, odd-bernoulli and telescoping it holds the default
 bounds, the lowest allowed index and the check that returns one
 instance's ``(label, ok)`` pair.  ``Suite.sweep`` runs that check on
 every index from the lowest one up to its bound.  The CLI's ``verify``
-command and ``scripts/run_verification.py`` both run suites from it.
+command is the one front end that runs suites from it.
 
 All operations are deterministic and observationally pure.  The shared
 Bernoulli table only ever grows, under a lock.  The memoized T-forms and
@@ -275,9 +274,12 @@ def bernoulli_from_recurrence(row: list[Rational]) -> Rational:
 
     The row is summed in ints over one common denominator, the lcm of its
     denominators, and reduced once.  This is the oracle the table is
-    rechecked against: it shares nothing with the zigzag numbers.
+    rechecked against: it shares nothing with the zigzag numbers.  An
+    empty row, without B_0, is a ``ValueError``.
     """
     n = len(row)
+    if not n:
+        raise ValueError("bernoulli_from_recurrence requires n >= 1: the row must hold B_0")
     common = lcm(*[b.denominator for b in row])
     total = sum(comb(n + 1, k) * b.numerator * (common // b.denominator) for k, b in enumerate(row))
     return Rational(-total, common * (n + 1))

@@ -663,23 +663,17 @@ class TestJson:
         assert before == after
 
 
-# Each process entry point, as ``python`` arguments for a short run that passes.
+# The process entry point, as ``python`` arguments for a short run that passes.
 ENTRY_POINTS = {
     "cli": ("-m", "powersums", "tform", "3"),
-    "sweep-script": (
-        str(Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"),
-        "--max", "2", "--max-m", "1", "--max-n", "1",
-    ),
 }
 
-# Runs under -X dev, as ``python`` arguments: the CLI's exits 0 and 2, and
-# the sweep script.
+# Runs under -X dev, as ``python`` arguments: the CLI's exits 0 and 2.
 DEV_MODE_RUNS = {
     "verify-text": ("-m", "powersums", "verify", "faulhaber", "--max", "5"),
     "verify-json": ("-m", "powersums", "--format", "json", "verify", "faulhaber", "--max", "5"),
     "bernoulli-json": ("-m", "powersums", "--format", "json", "bernoulli", "30"),
     "usage-error": ("-m", "powersums", "tform", "0"),
-    "sweep-script": ENTRY_POINTS["sweep-script"],
 }
 
 
@@ -722,16 +716,11 @@ class TestSubprocess:
     def test_dev_mode_exit_is_silent(self, popen, cli, monkeypatch, args):
         # -X dev shows ResourceWarnings and unraisable exceptions at exit, so
         # the child writes exactly the in-process bytes (a usage error's too,
-        # from the same argparse) only if it shows none.  The sweep script's
-        # lines carry timings: it must pass with nothing on stderr.
+        # from the same argparse) only if it shows none.
         monkeypatch.setenv("COLUMNS", "80")  # one usage width for both processes
         proc = popen("-X", "dev", *args)
         out, err = proc.communicate(timeout=60)
-        if args[:2] == ("-m", "powersums"):
-            assert (proc.returncode, out.decode(), err.decode()) == cli(*args[2:])
-        else:
-            assert (proc.returncode, err) == (0, b"")
-            assert out.decode().endswith("all suites passed\n")
+        assert (proc.returncode, out.decode(), err.decode()) == cli(*args[2:])
 
 
 class TestProcessEntryPoint:
@@ -809,19 +798,15 @@ cli.main(sys.argv[1:])
         assert (proc.returncode, out, err) == (0, b"\n", b"")
 
 
-# ``python -c LAUNCH ARGS...`` runs ARGS (``-m MODULE ...`` or ``SCRIPT ...``)
-# as ``python ARGS...`` would, after PLANT has patched the faulhaber module.
-# No entry point has imported powersums.cli yet, so its names bind to the patch.
+# ``python -c LAUNCH -m MODULE ARGS...`` runs ``python -m MODULE ARGS...``
+# after PLANT has patched the faulhaber module.  Nothing has imported
+# powersums.cli yet, so its names bind to the patch.
 LAUNCH = """
 import runpy, sys
 from powersums import faulhaber
 {plant}
-del sys.argv[0]
-if sys.argv[0] == "-m":
-    del sys.argv[0]
-    runpy.run_module(sys.argv[0], run_name="__main__", alter_sys=True)
-else:
-    runpy.run_path(sys.argv[0], run_name="__main__")
+del sys.argv[:2]
+runpy.run_module(sys.argv[0], run_name="__main__", alter_sys=True)
 """
 
 
@@ -829,7 +814,7 @@ NO_STDOUT = "error: cannot write to stdout: "
 
 
 class TestProcessEnd:
-    """Both entry points end through ``cli.end_process``, by one exit table."""
+    """The process entry point ends through ``cli.end_process``, by one exit table."""
 
     # (extra arguments, redirect, exit code, stderr), the same buffered or
     # not; None for a usage error's stderr, whose usage line is argparse's.
@@ -868,61 +853,28 @@ class TestProcessEnd:
 
     def test_failing_sweep_instance_exits_1(self, popen):
         plant = "faulhaber.infer_odd_bernoulli = lambda m: 1"  # every odd-bernoulli instance fails
-        proc = popen("-c", LAUNCH.format(plant=plant), *ENTRY_POINTS["sweep-script"])
+        proc = popen("-c", LAUNCH.format(plant=plant), "-m", "powersums", "verify", "odd-bernoulli", "--max", "3")
         out, err = proc.communicate(timeout=60)
-        lines = out.decode().splitlines()
         assert (proc.returncode, err) == (1, b"")
-        assert [line.split()[:2] for line in lines[:-1]] == [
-            ["bernoulli", "ok"],
-            ["pascal", "ok"],
-            ["faulhaber", "ok"],
-            ["odd-bernoulli", "FAILED"],
-            ["telescoping", "ok"],
+        assert out.decode().splitlines() == [
+            "FAIL odd-bernoulli m=1",
+            "FAIL odd-bernoulli m=2",
+            "FAIL odd-bernoulli m=3",
+            "odd-bernoulli: 0/3 passed",
         ]
-        assert lines[-1] == "FAILURES PRESENT"
 
     def test_wrong_table_value_fails_the_sweep_recheck(self, popen):
-        # A wrong B_10 breaks the recurrence at n = 10 (from B_0..B_9) and at
-        # n = 11 (whose row reads it); the suites that read B_10 fail too.
+        # A wrong B_10 must fail the suite that reads it: faulhaber's
+        # Bernoulli route reads B_10 first for S_11 (m = 5).
         plant = (
             "get = faulhaber.BernoulliTable.get\n"
             "faulhaber.BernoulliTable.get = lambda table, k: faulhaber.Rational(1, 7) if k == 10 else get(table, k)\n"
         )
-        script = ENTRY_POINTS["sweep-script"][0]
-        proc = popen("-c", LAUNCH.format(plant=plant), script, "--max", "5", "--max-m", "1", "--max-n", "1")
+        proc = popen("-c", LAUNCH.format(plant=plant), "-m", "powersums", "verify", "faulhaber", "--max", "5")
         out, err = proc.communicate(timeout=60)
         lines = out.decode().splitlines()
         assert (proc.returncode, err) == (1, b"")
-        assert [line.split()[:3] for line in lines[:-1]] == [
-            ["bernoulli", "FAILED", "12"],
-            ["pascal", "ok", "4"],
-            ["faulhaber", "FAILED", "5"],
-            ["odd-bernoulli", "FAILED", "5"],
-            ["telescoping", "ok", "1"],
-        ]
-        assert lines[-1] == "FAILURES PRESENT"
-
-    @pytest.mark.parametrize("top", [2, 5])
-    def test_sweep_rechecks_every_bernoulli_value_it_reads(self, popen, top):
-        # The recheck reads B_0..B_K first; no suite after it reads past B_K,
-        # and one reads B_K itself, so K is no wider than it needs to be.
-        plant = (
-            "import atexit\n"
-            "reads, get = [], faulhaber.BernoulliTable.get\n"
-            "def spy(table, k):\n"
-            "    reads.append(k)\n"
-            "    return get(table, k)\n"
-            "faulhaber.BernoulliTable.get = spy\n"
-            "atexit.register(lambda: print(*reads, file=sys.stderr))\n"
-        )
-        script = ENTRY_POINTS["sweep-script"][0]
-        proc = popen("-c", LAUNCH.format(plant=plant), script, "--max", str(top), "--max-m", "1", "--max-n", "1")
-        out, err = proc.communicate(timeout=60)
-        assert proc.returncode == 0
-        rechecked = int(out.split()[2])  # the count on the bernoulli line
-        reads = [int(k) for k in err.split()]
-        assert reads[:rechecked] == list(range(rechecked))
-        assert max(reads[rechecked:]) == rechecked - 1
+        assert lines == [f"PASS faulhaber m={m}" for m in range(1, 5)] + ["FAIL faulhaber m=5", "faulhaber: 4/5 passed"]
 
     def test_closed_pipe_exits_141(self, popen):
         job = (

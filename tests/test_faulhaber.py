@@ -80,6 +80,17 @@ class TestBernoulli:
         for n in range(1, 301):
             assert bernoulli_from_recurrence(values[:n]) == values[n], n
 
+    def test_recurrence_refuses_a_row_without_b0(self):
+        with pytest.raises(ValueError, match="B_0"):
+            bernoulli_from_recurrence([])
+
+    def test_every_value_a_deep_sweep_reads_rechecks(self):
+        # B_401 = B_{2*200+1} is the highest index `verify ... --max 200`
+        # reads (faulhaber's S_401, odd-bernoulli's B_401).
+        values = [bernoulli(k) for k in range(402)]
+        for n in range(1, 402):
+            assert bernoulli_from_recurrence(values[:n]) == values[n], n
+
     def test_defining_recurrence_rechecks(self):
         # The recurrence that generated the table must re-verify from the
         # stored values alone, for every n up to 200.

@@ -1,4 +1,4 @@
-"""The suite registry: the CLI's ``verify`` and the sweep script both run from it."""
+"""The suite registry: the CLI's ``verify`` runs every suite from it."""
 
 import json
 
@@ -33,27 +33,3 @@ def test_sweeps_start_at_the_first_index(name):
     label, ok = next(suite.sweep(*(suite.first for _ in suite.defaults)))
     assert ok
     assert label.startswith(f"{name} m={suite.first}")
-
-
-def test_sweep_script_runs_every_suite(script_subprocess):
-    proc = script_subprocess("run_verification.py", "--max", "3", "--max-m", "2", "--max-n", "3")
-    lines = proc.stdout.splitlines()
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert [line.split()[:3] for line in lines[:-1]] == [
-        ["bernoulli", "ok", "8"],
-        ["pascal", "ok", "2"],
-        ["faulhaber", "ok", "3"],
-        ["odd-bernoulli", "ok", "3"],
-        ["telescoping", "ok", "6"],
-    ]
-    assert lines[-1] == "all suites passed"
-
-
-@pytest.mark.parametrize(
-    "option, value",
-    [("--max", "1"), ("--max", "0"), ("--max-m", "0"), ("--max-n", "0")],
-)
-def test_sweep_script_refuses_bounds_that_sweep_nothing(script_subprocess, option, value):
-    proc = script_subprocess("run_verification.py", option, value)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert f"{option} must be at least" in proc.stderr
