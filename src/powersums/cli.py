@@ -1,14 +1,16 @@
 """Command-line front-end: computation and verification as subcommands.
 
-Each command handler is attached to its subparser, computes once and
-returns its result: an exit code, a JSON payload holding the exact
-``Fraction`` and ``Polynomial`` values, and the text lines.  ``run`` is
-the only writer of a call and renders that result as text or as JSON.
-Its parser prints nothing either: help and usage errors come back as
-text (``_ParserExit``), which ``run`` writes to the call's own sinks, so
-``run`` never touches ``sys.stdout`` or ``sys.stderr`` unless they are
-the sinks, and concurrent calls need no lock.  Output is deterministic
-byte-for-byte.  Text tables are tab-separated; polynomials
+Each command handler is attached to its subparser, imports the layers
+it runs when it is called, computes once and returns its result: an
+exit code, a function that builds the JSON payload from JSON-ready
+records, and the text lines.  ``run`` is the only writer of a call and
+renders that result as text or as JSON.  Its parser prints nothing
+either: help and usage errors come back as text (``_ParserExit``),
+which ``run`` writes to the call's own sinks, so ``run`` never touches
+``sys.stdout`` or ``sys.stderr`` unless they are the sinks, and
+concurrent calls need no lock.  This module itself imports no
+arithmetic, so ``--help`` and usage errors load none.  Output is
+deterministic byte-for-byte.  Text tables are tab-separated; polynomials
 use the display grammar of the polynomial module.  With ``--format json``
 every rational is emitted as a two-field record of decimal strings
 (``{"num": ..., "den": ...}``) -- never as a float, because the
@@ -24,6 +26,15 @@ stderr), 130 on an interrupt, and 3 on any other uncaught error
 (traceback on stderr) or when an output stream cannot be written (one
 line on stderr, if stderr can take it).  Each of these codes is the same
 whether or not the streams are buffered.
+
+``SUITES`` is the one registry of verification suites: for each of
+pascal, faulhaber, odd-bernoulli and telescoping it holds the default
+bounds, the lowest allowed index and the check that returns one
+instance's ``(label, ok)`` pair.  It lives beside the parser that reads
+its names and defaults.  ``Suite.sweep`` runs the check on every index
+from the lowest one up to its bound, handing it the ``faulhaber`` module
+when it runs, so a patched or wrapped function there is the one that
+runs.  ``verify`` is the one front end that runs suites from it.
 """
 
 from __future__ import annotations
@@ -34,27 +45,58 @@ import gc
 import os
 import re
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from io import TextIOBase
+from itertools import product
 
-from .exact_arith import Rational
-from .faulhaber import (
-    SUITES,
-    bernoulli,
-    faulhaber_coefficients,
-    power_sum_direct,
-    power_sum_poly_n,
-    power_sum_tform,
-)
-from .polynomial import Polynomial, poly_eval
+from . import _Record
+
+
+class Suite(_Record):
+    """One verification suite of the registry.
+
+    ``defaults`` maps each bound (``max``, or ``max_m`` and ``max_n``) to
+    its default, in the order ``check`` and ``sweep`` take them; ``first``
+    is the lowest allowed index.  ``check(faulhaber, *indices)`` runs one
+    instance with the functions of the ``faulhaber`` module it is given
+    and returns its ``(label, ok)`` pair.
+    """
+
+    __slots__ = ("defaults", "first", "check")
+
+    def __init__(self, defaults: dict[str, int], first: int, check: Callable[..., tuple[str, bool]]) -> None:
+        super().__init__(defaults, first, check)
+
+    def sweep(self, *bounds: int) -> Iterator[tuple[str, bool]]:
+        """A generator of ``check`` on each index tuple, every index from ``first`` to its bound.
+
+        The first index varies slowest, as in nested loops.
+        """
+        from . import faulhaber
+
+        ranges = [range(self.first, top + 1) for top in bounds]
+        return (self.check(faulhaber, *indices) for indices in product(*ranges))
+
+
+def _outcome(report) -> tuple[str, bool]:
+    return report.label, report.holds
+
+
+SUITES: dict[str, Suite] = {
+    "pascal": Suite({"max": 40}, 2, lambda f, m: _outcome(f.verify_pascal_identity(m))),
+    "faulhaber": Suite({"max": 40}, 1, lambda f, m: _outcome(f.verify_faulhaber(m))),
+    "odd-bernoulli": Suite({"max": 40}, 1, lambda f, m: f.check_odd_bernoulli(m)),
+    "telescoping": Suite({"max_m": 10, "max_n": 50}, 1, lambda f, m, n: _outcome(f.telescoping_check(m, n))),
+}
 
 _DECIMAL_INT = re.compile(r"[0-9]+")
 # Every bound option of ``verify``, as argparse dests: max, max_m, max_n.
 _BOUNDS = tuple(dict.fromkeys(key for suite in SUITES.values() for key in suite.defaults))
 # A command's result: exit code, JSON payload (without "command") and text
-# lines, as values that ``print`` formats.  Costly lines come from a
-# generator, so JSON output never formats them.
-_Result = tuple[int, dict[str, object], Iterable[object]]
+# lines, as values that ``print`` formats.  The payload comes from a
+# function and costly lines from a generator, so each format builds only
+# its own output.
+_Result = tuple[int, Callable[[], dict[str, object]], Iterable[object]]
 
 
 class _ParserExit(Exception):
@@ -85,14 +127,14 @@ def _uint(minimum: int):
     return parse
 
 
-def _json_value(value: object) -> dict:
-    """``json.dumps`` hook: the one JSON encoding of rationals and polynomials."""
-    if isinstance(value, Polynomial):
-        # Coefficients ascending by degree, matching the in-memory layout.
-        return {"var": value.var, "coefficients": value.coeffs}
-    if isinstance(value, Rational):
-        return {"num": str(value.numerator), "den": str(value.denominator)}
-    raise TypeError(f"no JSON encoding for {type(value).__name__}")
+def _rational(value) -> dict[str, str]:
+    """The one JSON record of a rational (or an int): numerator and denominator as decimal strings."""
+    return {"num": str(value.numerator), "den": str(value.denominator)}
+
+
+def _polynomial(poly) -> dict[str, object]:
+    """The one JSON record of a polynomial: its tag and its coefficients ascending by degree."""
+    return {"var": poly.var, "coefficients": [_rational(c) for c in poly.coeffs]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,58 +216,71 @@ def _suite_bounds(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> _Result:
+    from .faulhaber import bernoulli
+
     values = [bernoulli(i) for i in range(args.k + 1)]
-    payload = {"max_index": args.k, "values": [{"index": i, "value": v} for i, v in enumerate(values)]}
-    return 0, payload, (f"{i}\t{v}" for i, v in enumerate(values))
+    return 0, lambda: {
+        "max_index": args.k, "values": [{"index": i, "value": _rational(v)} for i, v in enumerate(values)],
+    }, (f"{i}\t{v}" for i, v in enumerate(values))
 
 
 def _cmd_powersum(args: argparse.Namespace) -> _Result:
+    from .faulhaber import power_sum_poly_n, power_sum_tform
+
     if args.basis == "n":
         poly = power_sum_poly_n(args.exponent)
-        return 0, {"exponent": args.exponent, "basis": "n", "polynomial": poly}, [poly]
+        return 0, lambda: {"exponent": args.exponent, "basis": "n", "polynomial": _polynomial(poly)}, [poly]
     form = power_sum_tform((args.exponent - 1) // 2)
-    payload = {"exponent": args.exponent, "basis": "t", "index": form.m, "p": form.p, "t_power": 2}
-    return 0, payload, [form]
+    return 0, lambda: {
+        "exponent": args.exponent, "basis": "t", "index": form.m, "p": _polynomial(form.p), "t_power": 2,
+    }, [form]
 
 
 def _cmd_tform(args: argparse.Namespace) -> _Result:
+    from .faulhaber import power_sum_tform
+
     form = power_sum_tform(args.index)
-    payload = {"index": form.m, "exponent": 2 * form.m + 1, "p": form.p, "t_power": 2}
-    return 0, payload, [form]
+    return 0, lambda: {"index": form.m, "exponent": 2 * form.m + 1, "p": _polynomial(form.p), "t_power": 2}, [form]
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> _Result:
+    from .faulhaber import faulhaber_coefficients
+
     coeffs = faulhaber_coefficients(args.index)
-    payload = {"index": args.index, "order": "descending", "coefficients": coeffs}
-    return 0, payload, (" ".join(map(str, cs)) for cs in [coeffs])
+    return 0, lambda: {
+        "index": args.index, "order": "descending", "coefficients": [_rational(c) for c in coeffs],
+    }, (" ".join(map(str, cs)) for cs in [coeffs])
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Result:
     results = list(SUITES[args.suite].sweep(*args.bounds.values()))
     passed = sum(1 for _, ok in results if ok)
     total = len(results)
-    payload = {
+    lines = [f"{'PASS' if ok else 'FAIL'} {label}" for label, ok in results]
+    lines.append(f"{args.suite}: {passed}/{total} passed")
+    return 0 if passed == total else 1, lambda: {
         "suite": args.suite,
         **args.bounds,
         "results": [{"label": label, "holds": ok} for label, ok in results],
         "passed": passed,
         "total": total,
         "all_pass": passed == total,
-    }
-    lines = [f"{'PASS' if ok else 'FAIL'} {label}" for label, ok in results]
-    lines.append(f"{args.suite}: {passed}/{total} passed")
-    return 0 if passed == total else 1, payload, lines
+    }, lines
 
 
 def _cmd_eval(args: argparse.Namespace) -> _Result:
+    from .faulhaber import power_sum_direct, power_sum_poly_n
+    from .polynomial import poly_eval
+
     symbolic = poly_eval(power_sum_poly_n(args.exponent), args.n)
     direct = power_sum_direct(args.exponent, args.n)
     agree = symbolic == direct
-    # Rational(direct) keeps "direct" a {"num", "den"} record, not a bare JSON int.
-    payload = {"exponent": args.exponent, "n": args.n, "polynomial": symbolic, "direct": Rational(direct),
-               "agree": agree}
     lines = [f"polynomial\t{symbolic}", f"direct\t{direct}", f"agree\t{'true' if agree else 'false'}"]
-    return 0 if agree else 1, payload, lines
+    # Both values are {"num", "den"} records, the int "direct" too, never bare JSON ints.
+    return 0 if agree else 1, lambda: {
+        "exponent": args.exponent, "n": args.n, "polynomial": _rational(symbolic), "direct": _rational(direct),
+        "agree": agree,
+    }, lines
 
 
 def run(argv: Iterable[str], stdout: TextIOBase | None = None, stderr: TextIOBase | None = None) -> int:
@@ -245,7 +300,7 @@ def run(argv: Iterable[str], stdout: TextIOBase | None = None, stderr: TextIOBas
     if getattr(args, "format", "text") == "json":
         import json  # only JSON output pays for loading the encoder
 
-        print(json.dumps({"command": args.command, **payload}, indent=2, default=_json_value), file=out)
+        print(json.dumps({"command": args.command, **payload()}, indent=2), file=out)
     else:
         for line in lines:
             print(line, file=out)

@@ -5,10 +5,13 @@ already maintains every invariant the rest of the package relies on:
 denominators are strictly positive, values are stored in lowest terms,
 and zero is exactly 0/1.  ``Rational`` is therefore an alias rather than
 a reimplementation; this module pins the conventions (and the textual
-``p/q`` grammar, with ``/q`` omitted when q == 1) that the polynomial,
-faulhaber, and cli layers build on.  Beside the alias there is only the
+``p/q`` grammar, with ``/q`` omitted when q == 1) that the polynomial
+and faulhaber layers build on; the CLI's JSON records read a value's
+numerator and denominator directly.  Beside the alias there is only the
 float guard ``as_rational``; binomial coefficients come straight from
-``math.comb`` wherever they are needed.
+``math.comb`` wherever they are needed.  Importing this module loads
+``fractions`` (and with it ``decimal``); the CLI's help and usage errors
+compute nothing and never import it.
 
 All values are immutable and all operations are pure functions, so
 everything here may be shared freely across threads.

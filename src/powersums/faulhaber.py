@@ -43,12 +43,10 @@ sums, and it computes B_{2m+1} from the recurrence to compare with the
 inferred value and with the table's listed zero, which rests on it.
 ``_t_route`` is the one place that builds P_m(T) * T^2.
 
-``SUITES`` is the one registry of verification suites: for each of
-pascal, faulhaber, odd-bernoulli and telescoping it holds the default
-bounds, the lowest allowed index and the check that returns one
-instance's ``(label, ok)`` pair.  ``Suite.sweep`` runs that check on
-every index from the lowest one up to its bound.  The CLI's ``verify``
-command is the one front end that runs suites from it.
+The verification suites that run these checks are registered in the
+CLI (``powersums.cli.SUITES``), whose ``verify`` command is their one
+front end; each sweep hands its check this module, so a patched function
+here is the one that runs.
 
 All operations are deterministic and observationally pure.  The shared
 Bernoulli table only ever grows, under a lock.  The memoized T-forms and
@@ -60,13 +58,13 @@ concurrent callers always observe consistent values.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Iterator
 from functools import cache
-from itertools import accumulate, product
+from itertools import accumulate
 from math import comb, lcm
 
+from . import _Record
 from .exact_arith import Rational
-from .polynomial import Polynomial, _Record, monomial, poly_combination, poly_eval, poly_from_numerators, t_to_n
+from .polynomial import Polynomial, monomial, poly_combination, poly_eval, poly_from_numerators, t_to_n
 
 
 class BernoulliTable:
@@ -304,40 +302,3 @@ def check_odd_bernoulli(m: int) -> tuple[str, bool]:
     pinned = route.degree < m + 2 and all(poly_eval(route, t) == s for t, s in zip(accumulate(range(1, m + 1)), sums))
     value = bernoulli_from_recurrence([bernoulli(k) for k in range(2 * m + 1)])
     return f"odd-bernoulli m={m}", pinned and value == infer_odd_bernoulli(m) == bernoulli(2 * m + 1)
-
-
-class Suite(_Record):
-    """One verification suite of the registry.
-
-    ``defaults`` maps each bound (``max``, or ``max_m`` and ``max_n``) to
-    its default, in the order ``check`` and ``sweep`` take them; ``first``
-    is the lowest allowed index.  ``check(*indices)`` runs one instance
-    and returns its ``(label, ok)`` pair.
-    """
-
-    __slots__ = ("defaults", "first", "check")
-
-    def __init__(self, defaults: dict[str, int], first: int, check: Callable[..., tuple[str, bool]]) -> None:
-        super().__init__(defaults, first, check)
-
-    def sweep(self, *bounds: int) -> Iterator[tuple[str, bool]]:
-        """A generator of ``check`` on each index tuple, every index from ``first`` to its bound.
-
-        The first index varies slowest, as in nested loops.
-        """
-        ranges = [range(self.first, top + 1) for top in bounds]
-        return (self.check(*indices) for indices in product(*ranges))
-
-
-def _outcome(report: VerificationReport) -> tuple[str, bool]:
-    return report.label, report.holds
-
-
-# The checks look their functions up as module globals at call time, so a
-# patched or wrapped ``verify_faulhaber`` (say) is the one that runs.
-SUITES: dict[str, Suite] = {
-    "pascal": Suite({"max": 40}, 2, lambda m: _outcome(verify_pascal_identity(m))),
-    "faulhaber": Suite({"max": 40}, 1, lambda m: _outcome(verify_faulhaber(m))),
-    "odd-bernoulli": Suite({"max": 40}, 1, lambda m: check_odd_bernoulli(m)),
-    "telescoping": Suite({"max_m": 10, "max_n": 50}, 1, lambda m, n: _outcome(telescoping_check(m, n))),
-}

@@ -29,11 +29,8 @@ the one sanctioned bridge between them.
 Polynomials are immutable (assignment raises AttributeError, and no
 read writes anything): equality is structural (same tag, same
 coefficients), instances are hashable, and sharing across threads is
-safe.  ``_Record`` is the one frozen-value base: every value class,
-``Polynomial`` and the records of ``faulhaber`` alike, takes ``==`` and
-``hash`` from it, by its fields.  A record is hashable only when its
-fields are: a ``Suite`` holds a dict, so ``hash(SUITES["pascal"])``
-raises TypeError.
+safe.  ``Polynomial`` takes ``==`` and ``hash`` by its fields from
+``_Record``, the package's one frozen-value base (``powersums/__init__.py``).
 
 Display order is highest degree first, e.g. ``1/4*n^4 + 1/2*n^3 +
 1/4*n^2``; this exact grammar is what the CLI prints and what golden
@@ -45,48 +42,10 @@ from __future__ import annotations
 from collections.abc import Iterable
 from math import gcd, lcm
 
+from . import _Record
 from .exact_arith import Rational, as_rational
 
 VARIABLES = ("n", "T")
-
-
-class _Record:
-    """Base of the immutable value classes, with frozen-dataclass manners.
-
-    The fields are the subclass's ``__slots__``, set once by ``__init__``
-    in that order; assignment raises AttributeError, and equality (same
-    class only), hashing, repr and pickling go by the fields.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
 
 class Polynomial(_Record):

@@ -15,8 +15,8 @@ import pytest
 
 import powersums.cli
 import powersums.faulhaber
+from powersums.cli import SUITES
 from powersums.faulhaber import (
-    SUITES,
     VerificationReport,
     bernoulli,
     power_sum_poly_n,
@@ -434,7 +434,7 @@ class TestExitCodes:
         ]
 
     def test_disagreeing_eval_exits_one(self, cli, monkeypatch):
-        monkeypatch.setattr(powersums.cli, "power_sum_direct", lambda m, n: 0)
+        monkeypatch.setattr(powersums.faulhaber, "power_sum_direct", lambda m, n: 0)
         code, out, _ = cli("eval", "3", "3")
         assert code == 1
         assert out.endswith("agree\tfalse\n")
@@ -670,6 +670,8 @@ ENTRY_POINTS = {
 
 # Runs under -X dev, as ``python`` arguments: the CLI's exits 0 and 2.
 DEV_MODE_RUNS = {
+    "help": ("-m", "powersums", "--help"),
+    "bernoulli-text": ("-m", "powersums", "bernoulli", "30"),
     "verify-text": ("-m", "powersums", "verify", "faulhaber", "--max", "5"),
     "verify-json": ("-m", "powersums", "--format", "json", "verify", "faulhaber", "--max", "5"),
     "bernoulli-json": ("-m", "powersums", "--format", "json", "bernoulli", "30"),
@@ -729,9 +731,9 @@ class TestProcessEntryPoint:
     # more than 4300 digits.
     HUGE = """
 import sys
-from powersums import cli
+from powersums import cli, faulhaber
 from powersums.polynomial import Polynomial
-cli.power_sum_poly_n = lambda m: Polynomial((10**5000,), "n")
+faulhaber.power_sum_poly_n = lambda m: Polynomial((10**5000,), "n")
 cli.main(sys.argv[1:])
 """
 
@@ -796,6 +798,32 @@ cli.main(sys.argv[1:])
         proc = popen("-S", "-c", f"import sys, powersums.cli; print(*[m for m in {lazy!r} if m in sys.modules])")
         out, err = proc.communicate(timeout=60)
         assert (proc.returncode, out, err) == (0, b"\n", b"")
+        # Then one child per command path: each loads only the layers it runs.
+        # Help and usage errors load no arithmetic; every command that
+        # computes loads every arithmetic layer, bernoulli too, because the
+        # Bernoulli table lives in faulhaber.
+        arithmetic = ("decimal", "fractions", "powersums.exact_arith", "powersums.faulhaber", "powersums.polynomial")
+        child = (
+            "import io, sys\n"
+            "from powersums import cli\n"
+            "cli.run(sys.argv[1:], io.StringIO(), io.StringIO())\n"
+            f"print(*[m for m in {lazy + arithmetic!r} if m in sys.modules])\n"
+        )
+        expected = {
+            ("--help",): (),
+            ("tform", "0"): (),
+            ("bernoulli", "5"): arithmetic,
+            ("--format", "json", "bernoulli", "5"): ("json", *arithmetic),
+            ("tform", "3"): arithmetic,
+            ("verify", "pascal", "--max", "3"): arithmetic,
+        }
+        loaded = {}
+        for argv in expected:
+            proc = popen("-S", "-c", child, *argv)
+            out, err = proc.communicate(timeout=60)
+            assert (proc.returncode, err) == (0, b""), argv
+            loaded[argv] = tuple(out.decode().split())
+        assert loaded == expected
 
 
 # ``python -c LAUNCH -m MODULE ARGS...`` runs ``python -m MODULE ARGS...``

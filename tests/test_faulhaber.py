@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from powersums import faulhaber
+from powersums.cli import SUITES
 from powersums.faulhaber import (
     BernoulliTable,
     FaulhaberForm,
@@ -440,7 +441,7 @@ class TestRecords:
     def test_frozen_value_semantics(self):
         form = power_sum_tform(2)
         report = VerificationReport("x", Polynomial((1,), "n"), Polynomial((1,), "n"))
-        suite = faulhaber.SUITES["pascal"]
+        suite = SUITES["pascal"]
         assert form == FaulhaberForm(m=2, p=form.p)
         assert report == VerificationReport(label="x", lhs=report.lhs, rhs=report.rhs)
         assert hash(form) == hash(FaulhaberForm(2, form.p))

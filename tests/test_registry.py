@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from powersums.faulhaber import SUITES
+from powersums.cli import SUITES
 
 SMALL = {"max": 4, "max_m": 2, "max_n": 3}
 
