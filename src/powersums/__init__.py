@@ -8,8 +8,10 @@ connect them -- including the vanishing of the odd Bernoulli numbers.
 The namespace is lazy (PEP 562): ``import powersums`` loads no
 submodule, and each name of ``__all__`` is looked up in the submodule
 that defines it on every access, so it is always that module's current
-binding.  A process thus loads only the layers it uses: the CLI's
-``--help`` loads no arithmetic at all.
+binding.  ``_HOME`` is the one place that knows which submodule that
+is: the CLI reads every name through this namespace too.  A process
+thus loads only the layers it uses: the CLI's ``--help`` loads no
+arithmetic at all.
 
 ``_Record`` is the one frozen-value base: every value class,
 ``Polynomial``, the records of ``faulhaber`` and the CLI's ``Suite``
@@ -17,6 +19,8 @@ alike, takes ``==`` and ``hash`` from it, by its fields.  A record is
 hashable only when its fields are: a ``Suite`` holds a dict, so
 ``hash(SUITES["pascal"])`` raises TypeError.
 """
+
+import sys
 
 # Each public name and the submodule that defines it.
 _HOME = {
@@ -27,6 +31,7 @@ _HOME = {
     "VerificationReport": "faulhaber",
     "as_rational": "exact_arith",
     "bernoulli": "faulhaber",
+    "check_odd_bernoulli": "faulhaber",
     "faulhaber_coefficients": "faulhaber",
     "infer_odd_bernoulli": "faulhaber",
     "monomial": "polynomial",
@@ -49,9 +54,13 @@ __all__ = list(_HOME)
 def __getattr__(name: str) -> object:
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
+    home = f"{__name__}.{_HOME[name]}"
+    try:  # the home module is loaded: skip the import machinery
+        return getattr(sys.modules[home], name)
+    except (KeyError, AttributeError):  # not loaded yet, or still loading in another thread
+        from importlib import import_module
 
-    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+        return getattr(import_module(home), name)
 
 
 def __dir__() -> list[str]:

@@ -1,9 +1,10 @@
 """Command-line front-end: computation and verification as subcommands.
 
-Each command handler is attached to its subparser, imports the layers
-it runs when it is called, computes once and returns its result: an
-exit code, a function that builds the JSON payload from JSON-ready
-records, and the text lines.  ``run`` is the only writer of a call and
+Each command handler is attached to its subparser.  When called, it
+reads the functions it runs from the lazy ``powersums`` namespace, which
+loads their layers, computes once and returns its result: an exit
+code, a function that builds the JSON payload from JSON-ready records,
+and the text lines.  ``run`` is the only writer of a call and
 renders that result as text or as JSON.  Its parser prints nothing
 either: help and usage errors come back as text (``_ParserExit``),
 which ``run`` writes to the call's own sinks, so ``run`` never touches
@@ -32,9 +33,10 @@ pascal, faulhaber, odd-bernoulli and telescoping it holds the default
 bounds, the lowest allowed index and the check that returns one
 instance's ``(label, ok)`` pair.  It lives beside the parser that reads
 its names and defaults.  ``Suite.sweep`` runs the check on every index
-from the lowest one up to its bound, handing it the ``faulhaber`` module
-when it runs, so a patched or wrapped function there is the one that
-runs.  ``verify`` is the one front end that runs suites from it.
+from the lowest one up to its bound.  Each check reads its function from
+the ``powersums`` namespace at every call, so a patched or wrapped
+function in its home module is the one that runs.  ``verify`` is the one
+front end that runs suites from it.
 """
 
 from __future__ import annotations
@@ -49,16 +51,15 @@ from collections.abc import Callable, Iterable, Iterator
 from io import TextIOBase
 from itertools import product
 
-from . import _Record
+import powersums
 
 
-class Suite(_Record):
+class Suite(powersums._Record):
     """One verification suite of the registry.
 
     ``defaults`` maps each bound (``max``, or ``max_m`` and ``max_n``) to
     its default, in the order ``check`` and ``sweep`` take them; ``first``
-    is the lowest allowed index.  ``check(faulhaber, *indices)`` runs one
-    instance with the functions of the ``faulhaber`` module it is given
+    is the lowest allowed index.  ``check(*indices)`` runs one instance
     and returns its ``(label, ok)`` pair.
     """
 
@@ -72,10 +73,8 @@ class Suite(_Record):
 
         The first index varies slowest, as in nested loops.
         """
-        from . import faulhaber
-
         ranges = [range(self.first, top + 1) for top in bounds]
-        return (self.check(faulhaber, *indices) for indices in product(*ranges))
+        return (self.check(*indices) for indices in product(*ranges))
 
 
 def _outcome(report) -> tuple[str, bool]:
@@ -83,10 +82,10 @@ def _outcome(report) -> tuple[str, bool]:
 
 
 SUITES: dict[str, Suite] = {
-    "pascal": Suite({"max": 40}, 2, lambda f, m: _outcome(f.verify_pascal_identity(m))),
-    "faulhaber": Suite({"max": 40}, 1, lambda f, m: _outcome(f.verify_faulhaber(m))),
-    "odd-bernoulli": Suite({"max": 40}, 1, lambda f, m: f.check_odd_bernoulli(m)),
-    "telescoping": Suite({"max_m": 10, "max_n": 50}, 1, lambda f, m, n: _outcome(f.telescoping_check(m, n))),
+    "pascal": Suite({"max": 40}, 2, lambda m: _outcome(powersums.verify_pascal_identity(m))),
+    "faulhaber": Suite({"max": 40}, 1, lambda m: _outcome(powersums.verify_faulhaber(m))),
+    "odd-bernoulli": Suite({"max": 40}, 1, lambda m: powersums.check_odd_bernoulli(m)),
+    "telescoping": Suite({"max_m": 10, "max_n": 50}, 1, lambda m, n: _outcome(powersums.telescoping_check(m, n))),
 }
 
 _DECIMAL_INT = re.compile(r"[0-9]+")
@@ -216,8 +215,7 @@ def _suite_bounds(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> _Result:
-    from .faulhaber import bernoulli
-
+    bernoulli = powersums.bernoulli
     values = [bernoulli(i) for i in range(args.k + 1)]
     return 0, lambda: {
         "max_index": args.k, "values": [{"index": i, "value": _rational(v)} for i, v in enumerate(values)],
@@ -225,28 +223,22 @@ def _cmd_bernoulli(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_powersum(args: argparse.Namespace) -> _Result:
-    from .faulhaber import power_sum_poly_n, power_sum_tform
-
     if args.basis == "n":
-        poly = power_sum_poly_n(args.exponent)
+        poly = powersums.power_sum_poly_n(args.exponent)
         return 0, lambda: {"exponent": args.exponent, "basis": "n", "polynomial": _polynomial(poly)}, [poly]
-    form = power_sum_tform((args.exponent - 1) // 2)
+    form = powersums.power_sum_tform((args.exponent - 1) // 2)
     return 0, lambda: {
         "exponent": args.exponent, "basis": "t", "index": form.m, "p": _polynomial(form.p), "t_power": 2,
     }, [form]
 
 
 def _cmd_tform(args: argparse.Namespace) -> _Result:
-    from .faulhaber import power_sum_tform
-
-    form = power_sum_tform(args.index)
+    form = powersums.power_sum_tform(args.index)
     return 0, lambda: {"index": form.m, "exponent": 2 * form.m + 1, "p": _polynomial(form.p), "t_power": 2}, [form]
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> _Result:
-    from .faulhaber import faulhaber_coefficients
-
-    coeffs = faulhaber_coefficients(args.index)
+    coeffs = powersums.faulhaber_coefficients(args.index)
     return 0, lambda: {
         "index": args.index, "order": "descending", "coefficients": [_rational(c) for c in coeffs],
     }, (" ".join(map(str, cs)) for cs in [coeffs])
@@ -269,11 +261,8 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_eval(args: argparse.Namespace) -> _Result:
-    from .faulhaber import power_sum_direct, power_sum_poly_n
-    from .polynomial import poly_eval
-
-    symbolic = poly_eval(power_sum_poly_n(args.exponent), args.n)
-    direct = power_sum_direct(args.exponent, args.n)
+    symbolic = powersums.poly_eval(powersums.power_sum_poly_n(args.exponent), args.n)
+    direct = powersums.power_sum_direct(args.exponent, args.n)
     agree = symbolic == direct
     lines = [f"polynomial\t{symbolic}", f"direct\t{direct}", f"agree\t{'true' if agree else 'false'}"]
     # Both values are {"num", "den"} records, the int "direct" too, never bare JSON ints.

@@ -22,7 +22,10 @@ T = n(n+1)/2:
 
   where j runs over {0, 2, ..., m-1} for odd m and {1, 3, ..., m-1} for
   even m (whichever parity makes the chain end at C(m, m-1)).  All
-  exponents m+j on the right are odd.
+  exponents m+j on the right are odd.  ``verify_pascal_identity``
+  checks it symbolically in n; ``telescoping_check`` evaluates both
+  sides at one n by brute-force sums, with no polynomial and no
+  Bernoulli number.
 
 * Faulhaber forms.  Solving the ladder for its top term shows every odd
   power sum is a polynomial in T divisible by T^2:
@@ -45,8 +48,9 @@ inferred value and with the table's listed zero, which rests on it.
 
 The verification suites that run these checks are registered in the
 CLI (``powersums.cli.SUITES``), whose ``verify`` command is their one
-front end; each sweep hands its check this module, so a patched function
-here is the one that runs.
+front end.  Each check reads its function through the lazy
+``powersums`` namespace at every call, so a patched function here is
+the one that runs.
 
 All operations are deterministic and observationally pure.  The shared
 Bernoulli table only ever grows, under a lock.  The memoized T-forms and
@@ -204,19 +208,23 @@ def verify_pascal_identity(m: int) -> VerificationReport:
 
 
 def telescoping_check(m: int, n: int) -> VerificationReport:
-    """Confirm (T_n)^m equals its telescoped sum by exact integer evaluation.
+    """Check the telescoped ladder at one point: T_n^m = sum_j C(m, j) * S_{m+j}(n) / 2^(m-1).
 
-    Both sides are integers here, reported as constant polynomials so the
-    report shape stays uniform with the symbolic checks.
+    The differences T_k^m - T_{k-1}^m, expanded by the binomial theorem
+    and summed over k = 1..n, give the ladder; here it is evaluated by
+    brute-force sums (``power_sum_direct``), with no polynomial arithmetic
+    and no Bernoulli number, so a wrong index set or binomial fails it.
+    It holds for m = 1 too, where T = S_1.  Both sides are reported as
+    constant polynomials, so the report shape stays uniform with the
+    symbolic checks.
     """
     if m < 1 or n < 1:
         raise ValueError(f"telescoping_check requires m >= 1 and N >= 1, got m={m}, N={n}")
-    lhs_value = (n * (n + 1) // 2) ** m
-    rhs_value = sum((k * (k + 1) // 2) ** m - ((k - 1) * k // 2) ** m for k in range(1, n + 1))
+    ladder = sum(comb(m, j) * power_sum_direct(m + j, n) for j in _ladder_indices(m))
     return VerificationReport(
         f"telescoping m={m} N={n}",
-        poly_from_numerators((lhs_value,), 1, "n"),
-        poly_from_numerators((rhs_value,), 1, "n"),
+        poly_from_numerators(((n * (n + 1) // 2) ** m,), 1, "n"),
+        poly_from_numerators((ladder,), 2 ** (m - 1), "n"),
     )
 
 

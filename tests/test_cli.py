@@ -8,6 +8,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -329,6 +330,13 @@ def _vanishing_at_the_pin(m):
 # the m points of the pin cannot see.
 WRONG_TFORMS = {"constant": lambda m: monomial(7, 0, "T"), "degree-m": _vanishing_at_the_pin}
 
+# Wrong ladders, as a faulhaber name and its stand-in: the other parity
+# of index set, and a wrong binomial coefficient.
+WRONG_LADDERS = {
+    "parity": ("_ladder_indices", lambda m: range(1 if m % 2 else 0, m, 2)),
+    "binomial": ("comb", lambda n, k: comb(n, k) + 1),
+}
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, cli):
@@ -432,6 +440,16 @@ class TestExitCodes:
             "FAIL odd-bernoulli m=3",
             "odd-bernoulli: 1/3 passed",
         ]
+
+    @pytest.mark.parametrize("plant", WRONG_LADDERS.values(), ids=WRONG_LADDERS)
+    def test_wrong_ladder_fails_telescoping(self, cli, monkeypatch, plant):
+        # The telescoped differences sum to the ladder, which the check
+        # evaluates by brute-force sums: a wrong one fails every instance.
+        monkeypatch.setattr(powersums.faulhaber, *plant)
+        code, out, _ = cli("verify", "telescoping", "--max-m", "3", "--max-n", "3")
+        assert code == 1
+        labels = [f"telescoping m={m} N={n}" for m in (1, 2, 3) for n in (1, 2, 3)]
+        assert out.splitlines() == [f"FAIL {label}" for label in labels] + ["telescoping: 0/9 passed"]
 
     def test_disagreeing_eval_exits_one(self, cli, monkeypatch):
         monkeypatch.setattr(powersums.faulhaber, "power_sum_direct", lambda m, n: 0)
@@ -816,6 +834,8 @@ cli.main(sys.argv[1:])
             ("--format", "json", "bernoulli", "5"): ("json", *arithmetic),
             ("tform", "3"): arithmetic,
             ("verify", "pascal", "--max", "3"): arithmetic,
+            ("eval", "3", "3"): arithmetic,
+            ("verify", "odd-bernoulli", "--max", "3"): arithmetic,
         }
         loaded = {}
         for argv in expected:
@@ -827,8 +847,9 @@ cli.main(sys.argv[1:])
 
 
 # ``python -c LAUNCH -m MODULE ARGS...`` runs ``python -m MODULE ARGS...``
-# after PLANT has patched the faulhaber module.  Nothing has imported
-# powersums.cli yet, so its names bind to the patch.
+# after PLANT has patched the faulhaber module.  The CLI reads every
+# function through the ``powersums`` namespace when it runs, so the patch
+# is what runs.
 LAUNCH = """
 import runpy, sys
 from powersums import faulhaber

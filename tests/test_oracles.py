@@ -1,7 +1,8 @@
-"""Cross-checks against sympy, an independent computer-algebra oracle.
+"""Cross-checks against independent oracles: sympy, and Jacobi's recurrence for the T-forms.
 
-Skipped when sympy is not installed.  sympy >= 1.12 uses B_1 = +1/2,
-this package B_1 = -1/2, so B_1 is negated before comparing.
+The sympy checks are skipped when sympy is not installed.  sympy >= 1.12
+uses B_1 = +1/2, this package B_1 = -1/2, so B_1 is negated before
+comparing.  Jacobi's recurrence needs nothing beyond ``fractions``.
 """
 
 from fractions import Fraction
@@ -11,9 +12,12 @@ import pytest
 from powersums.faulhaber import bernoulli, power_sum_poly_n, power_sum_tform
 from powersums.polynomial import monomial, t_to_n
 
-sympy = pytest.importorskip("sympy")
+try:
+    import sympy
+except ImportError:
+    sympy = None
 
-n, k, T = sympy.symbols("n k T")
+needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 
 
 def sympy_coeffs(expr, var) -> tuple[Fraction, ...]:
@@ -25,21 +29,55 @@ def sympy_coeffs(expr, var) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+@needs_sympy
 @pytest.mark.parametrize("m", range(1, 31))
 def test_power_sum_poly_n_matches_symbolic_summation(m):
+    n, k = sympy.symbols("n k")
     assert power_sum_poly_n(m).coeffs == sympy_coeffs(sympy.summation(k**m, (k, 1, n)), n)
 
 
+@needs_sympy
 @pytest.mark.parametrize("m", range(1, 31))
 def test_t_to_n_of_tform_matches_symbolic_substitution(m):
+    n, T = sympy.symbols("n T")
     p = power_sum_tform(m).p
     p_of_t = sum(sympy.Rational(c.numerator, c.denominator) * T**i for i, c in enumerate(p.coeffs))
     expected = sympy_coeffs((p_of_t * T**2).subs(T, (n**2 + n) / 2), n)
     assert t_to_n(monomial(1, 2, "T") * p).coeffs == expected
 
 
+@needs_sympy
 def test_bernoulli_numbers_match():
     for j in range(200):
         b = sympy.bernoulli(j)
         expected = Fraction(int(b.p), int(b.q))
         assert bernoulli(j) == (-expected if j == 1 else expected), j
+
+
+def jacobi_odd_sums(top: int):
+    """Yield F_1, ..., F_top as ascending coefficient lists, F_m(u) = S_{2m+1}(n) in u = n(n+1) = 2T.
+
+    Jacobi's recurrence (Knuth, "Johann Faulhaber and Sums of Powers",
+    Math. Comp. 61, 1993, after Jacobi, 1834): (4u+1) F_m'' + 2 F_m' =
+    (2m+1)(2m) F_{m-1} + c, with F_0 = u/2.  With b the coefficients of
+    F_{m-1}, a_{k+1} = ((2m+1)(2m) b_k - (k+2)(k+1) a_{k+2}) / (2(k+1)(2k+1))
+    for k = m down to 1, from a_{m+2} = 0; a_0 = 0, and
+    F_m(2) = S_{2m+1}(1) = 1 fixes a_1.  It reads neither the ladder nor a
+    Bernoulli number.
+    """
+    b = [Fraction(0), Fraction(1, 2)]
+    for m in range(1, top + 1):
+        a = [Fraction(0)] * (m + 3)
+        for k in range(m, 0, -1):
+            a[k + 1] = ((2 * m + 1) * (2 * m) * b[k] - (k + 2) * (k + 1) * a[k + 2]) / (2 * (k + 1) * (2 * k + 1))
+        a[1] = (1 - sum(c * 2**j for j, c in enumerate(a))) / 2
+        b = a[: m + 2]
+        yield b
+
+
+def test_jacobi_recurrence_matches_the_ladder():
+    # a_1 = 0 derives the T^2 factor that the ladder presupposes; then
+    # P_m's coefficient of T^j is a_{j+2} * 2^(j+2), since u = 2T.
+    for m, a in enumerate(jacobi_odd_sums(200), start=1):
+        assert a[1] == 0, m
+        assert tuple(a[j + 2] * 2 ** (j + 2) for j in range(m)) == power_sum_tform(m).p.coeffs, m
