@@ -67,8 +67,8 @@ from itertools import accumulate
 from math import comb, lcm
 
 from . import _Record
-from .exact_arith import Rational
-from .polynomial import Polynomial, monomial, poly_combination, poly_eval, poly_from_numerators, t_to_n
+from .exact_arith import Rational, _at_least
+from .polynomial import Polynomial, _check_var, monomial, poly_combination, poly_eval, poly_from_numerators, t_to_n
 
 
 class BernoulliTable:
@@ -97,9 +97,9 @@ class BernoulliTable:
         return len(self._values)
 
     def get(self, k: int) -> Rational:
-        if k < 0:
-            raise ValueError(f"Bernoulli index must be >= 0, got {k}")
-        if k >= len(self._values):
+        # A stored index costs one test; a float within range fails at the indexing below.
+        if not 0 <= k < len(self._values):
+            _at_least(k, 0, "Bernoulli index k")
             with self._lock:
                 while len(self._values) <= k:
                     n = len(self._values)
@@ -123,8 +123,8 @@ def bernoulli(k: int) -> Rational:
 
 def power_sum_direct(m: int, n: int) -> int:
     """Literal summation 1^m + 2^m + ... + n^m, the independent oracle."""
-    if m < 0 or n < 0:
-        raise ValueError(f"power_sum_direct requires m >= 0 and n >= 0, got m={m}, n={n}")
+    _at_least(m, 0, "power_sum_direct m")
+    _at_least(n, 0, "power_sum_direct n")
     return sum(k**m for k in range(1, n + 1))
 
 
@@ -136,8 +136,7 @@ def power_sum_poly_n(m: int) -> Polynomial:
     of them are built as integer numerators over L * (m+1), with L the lcm
     of the denominators of B_0..B_m, and reduced once at the end.
     """
-    if m < 1:
-        raise ValueError(f"power_sum_poly_n requires m >= 1, got {m}")
+    _at_least(m, 1, "power_sum_poly_n m")
     order = m + 1
     values = [bernoulli(j) for j in range(order)]
     common = lcm(*[b.denominator for b in values])
@@ -163,10 +162,8 @@ class FaulhaberForm(_Record):
 
     def __init__(self, m: int, p: Polynomial) -> None:
         super().__init__(m, p)
-        if self.m < 1:
-            raise ValueError(f"FaulhaberForm index must be >= 1, got {self.m}")
-        if self.p.var != "T":
-            raise ValueError(f"FaulhaberForm polynomial must be T-basis, got {self.p.var!r}")
+        _at_least(m, 1, "FaulhaberForm m")
+        _check_var("T", p)
         if self.p.degree != self.m - 1:
             raise AssertionError(f"deg p = {self.p.degree}, expected {self.m - 1} for m={self.m}")
         lead = self.p.coefficient(self.p.degree)
@@ -200,8 +197,7 @@ def _ladder_indices(m: int) -> range:
 
 def verify_pascal_identity(m: int) -> VerificationReport:
     """Check 2^(m-1) * T^m = sum_j C(m, j) * S_{m+j}(n) symbolically in n."""
-    if m < 2:
-        raise ValueError(f"verify_pascal_identity requires m >= 2, got {m}")
+    _at_least(m, 2, "verify_pascal_identity m")
     lhs = t_to_n(monomial(2 ** (m - 1), m, "T"))
     rhs = poly_combination([(comb(m, j), power_sum_poly_n(m + j)) for j in _ladder_indices(m)], "n")
     return VerificationReport(f"pascal m={m}", lhs, rhs)
@@ -218,8 +214,8 @@ def telescoping_check(m: int, n: int) -> VerificationReport:
     constant polynomials, so the report shape stays uniform with the
     symbolic checks.
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"telescoping_check requires m >= 1 and N >= 1, got m={m}, N={n}")
+    _at_least(m, 1, "telescoping_check m")
+    _at_least(n, 1, "telescoping_check N")
     ladder = sum(comb(m, j) * power_sum_direct(m + j, n) for j in _ladder_indices(m))
     return VerificationReport(
         f"telescoping m={m} N={n}",
@@ -239,8 +235,7 @@ def power_sum_tform(m: int) -> FaulhaberForm:
     reduced once; for m = 1 there is no lower term and P_1 = 2/2 = 1, so
     S_3 = T^2.
     """
-    if m < 1:
-        raise ValueError(f"power_sum_tform requires m >= 1, got {m}")
+    _at_least(m, 1, "power_sum_tform m")
     terms = [(2**m, monomial(1, m - 1, "T"))]
     terms += [(-comb(m + 1, j), power_sum_tform((m + j) // 2).p) for j in _ladder_indices(m + 1)[:-1]]
     return FaulhaberForm(m, poly_combination(terms, "T", m + 1))

@@ -24,7 +24,11 @@ is the summation limit of a power sum, the second the triangular number
 T = n(n+1)/2.  Mixing tags in arithmetic is a domain error, never a
 silent coercion -- the two bases mean different things and confusing
 them must not pass quietly.  Substituting T = (n^2+n)/2 (``t_to_n``) is
-the one sanctioned bridge between them.
+the one sanctioned bridge between them.  ``_check_var(var, *operands)``
+is the one tag check: every function that takes a tag or operands whose
+tags must agree calls it.  Integer arguments (a degree, an exponent, a
+denominator or divisor) go through ``exact_arith._at_least``, the one
+index guard, so a float there is a TypeError, as it is for a value.
 
 Polynomials are immutable (assignment raises AttributeError, and no
 read writes anything): equality is structural (same tag, same
@@ -43,7 +47,7 @@ from collections.abc import Iterable
 from math import gcd, lcm
 
 from . import _Record
-from .exact_arith import Rational, as_rational
+from .exact_arith import Rational, _at_least, as_rational
 
 VARIABLES = ("n", "T")
 
@@ -82,16 +86,11 @@ class Polynomial(_Record):
 
     def coefficient(self, k: int) -> Rational:
         """Coefficient of var**k (zero beyond the stored degree)."""
-        if k < 0:
-            raise ValueError(f"coefficient index must be >= 0, got {k}")
+        _at_least(k, 0, "coefficient index k")
         return Rational(self._nums[k], self._den) if k < len(self._nums) else Rational(0)
 
     def __repr__(self) -> str:
         return f"Polynomial(coeffs={self.coeffs!r}, var={self.var!r})"
-
-    def _require_same_var(self, other: "Polynomial") -> None:
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -108,7 +107,7 @@ class Polynomial(_Record):
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            self._require_same_var(other)
+            _check_var(self.var, other)
             a, b = self._nums, other._nums
             prod = [0] * (len(a) + len(b) - 1)
             for i, x in enumerate(a):
@@ -122,8 +121,7 @@ class Polynomial(_Record):
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError(f"polynomial exponent must be >= 0, got {exponent}")
+        _at_least(exponent, 0, "polynomial exponent")
         result = _canonical([1], 1, self.var)
         for _ in range(exponent):
             result = result * self
@@ -153,9 +151,13 @@ class Polynomial(_Record):
         return " ".join(parts)
 
 
-def _check_var(var: str) -> None:
+def _check_var(var: str, *operands: Polynomial) -> None:
+    """The one tag check: var is a known tag, and every operand carries it."""
     if var not in VARIABLES:
         raise ValueError(f"unknown variable tag {var!r}; expected one of {VARIABLES}")
+    for p in operands:
+        if p.var != var:
+            raise ValueError(f"variable mismatch: {var!r} vs {p.var!r}")
 
 
 def _canonical(nums: list[int], den: int, var: str) -> Polynomial:
@@ -177,8 +179,7 @@ def _canonical(nums: list[int], den: int, var: str) -> Polynomial:
 
 def monomial(coeff: int | Rational, degree: int, var: str) -> Polynomial:
     """The polynomial coeff * var**degree."""
-    if degree < 0:
-        raise ValueError(f"monomial degree must be >= 0, got {degree}")
+    _at_least(degree, 0, "monomial degree")
     _check_var(var)
     c = as_rational(coeff)
     return _canonical([0] * degree + [c.numerator], c.denominator, var)
@@ -187,8 +188,7 @@ def monomial(coeff: int | Rational, degree: int, var: str) -> Polynomial:
 def poly_from_numerators(nums: Iterable[int], den: int, var: str) -> Polynomial:
     """The polynomial sum of (nums[i] / den) * var**i, for ints nums and an int den >= 1."""
     _check_var(var)
-    if den < 1:
-        raise ValueError(f"denominator must be >= 1, got {den}")
+    _at_least(den, 1, "poly_from_numerators denominator")
     return _canonical(list(nums), den, var)
 
 
@@ -199,13 +199,9 @@ def poly_combination(terms: Iterable[tuple[int, Polynomial]], var: str, divisor:
     whole combination ends in one gcd pass, not one per term.  Each p must
     carry the tag var: mixing tags is a ValueError, as with ``+``.
     """
-    _check_var(var)
-    if divisor < 1:
-        raise ValueError(f"divisor must be >= 1, got {divisor}")
     terms = list(terms)
-    for _, p in terms:
-        if p.var != var:
-            raise ValueError(f"variable mismatch: {var!r} vs {p.var!r}")
+    _check_var(var, *[p for _, p in terms])
+    _at_least(divisor, 1, "poly_combination divisor")
     den = lcm(*[p._den for _, p in terms])
     acc = [0] * max([len(p._nums) for _, p in terms], default=0)
     for c, p in terms:
@@ -243,8 +239,7 @@ def t_to_n(p: Polynomial) -> Polynomial:
     Horner's scheme in n^2+n: multiplying by n^2+n is two shifted
     additions, so the whole substitution is integer additions only.
     """
-    if p.var != "T":
-        raise ValueError(f"t_to_n needs a T-basis polynomial, got variable {p.var!r}")
+    _check_var("T", p)
     nums = p._nums
     if not nums:
         return _canonical([], 1, "n")

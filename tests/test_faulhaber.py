@@ -4,9 +4,11 @@ import copy
 import hashlib
 import pickle
 import random
+import re
 import threading
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -31,6 +33,11 @@ from powersums.faulhaber import (
     verify_pascal_identity,
 )
 from powersums.polynomial import Polynomial, monomial, poly_eval, t_to_n
+
+
+# The --max of the CI verification sweep (.github/workflows/tier1.yml),
+# whose every Bernoulli number tier-1 rechecks against the recurrence.
+CI_SWEEP_MAX = 200
 
 
 def lagrange_eval(points, x):
@@ -86,11 +93,17 @@ class TestBernoulli:
             bernoulli_from_recurrence([])
 
     def test_every_value_a_deep_sweep_reads_rechecks(self):
-        # B_401 = B_{2*200+1} is the highest index `verify ... --max 200`
-        # reads (faulhaber's S_401, odd-bernoulli's B_401).
-        values = [bernoulli(k) for k in range(402)]
-        for n in range(1, 402):
+        # B_{2*max+1} is the highest index `verify ... --max max` reads
+        # (faulhaber's S_{2m+1}, odd-bernoulli's B_{2m+1}).
+        top = 2 * CI_SWEEP_MAX + 1
+        values = [bernoulli(k) for k in range(top + 1)]
+        for n in range(1, top + 1):
             assert bernoulli_from_recurrence(values[:n]) == values[n], n
+
+    def test_the_ci_sweep_runs_at_the_rechecked_bound(self):
+        workflow = (Path(__file__).resolve().parent.parent / ".github/workflows/tier1.yml").read_text()
+        bounds = re.findall(r'powersums verify "\$suite" --max (\d+)', workflow)
+        assert bounds == [str(CI_SWEEP_MAX)]
 
     def test_defining_recurrence_rechecks(self):
         # The recurrence that generated the table must re-verify from the
@@ -355,6 +368,10 @@ class TestTForm:
         with pytest.raises(AssertionError):
             # right degree and leading coefficient, broken tail relation
             FaulhaberForm(3, Polynomial((1, 1, 2), "T"))
+
+    def test_n_basis_polynomial_is_a_domain_error(self):
+        with pytest.raises(ValueError):
+            FaulhaberForm(1, Polynomial((1,), "n"))
 
     def test_str_is_the_factored_display(self):
         form = power_sum_tform(3)

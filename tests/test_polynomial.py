@@ -86,6 +86,15 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             Polynomial((1, 1), "n") * Polynomial((1, 1), "T")
 
+    def test_non_polynomial_operands_are_type_errors(self):
+        p = Polynomial((1, 1), "n")
+        with pytest.raises(TypeError):
+            p + 1
+        with pytest.raises(TypeError):
+            p - 1
+        with pytest.raises(TypeError):
+            p * "x"
+
     def test_mul_degree_law(self):
         a = Polynomial((1, 2, 3), "n")
         b = Polynomial((0, 0, 0, 5), "n")
