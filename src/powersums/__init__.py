@@ -6,12 +6,15 @@ number T = n(n+1)/2), and mechanically verifies the identities that
 connect them -- including the vanishing of the odd Bernoulli numbers.
 
 The namespace is lazy (PEP 562): ``import powersums`` loads no
-submodule, and each name of ``__all__`` is looked up in the submodule
-that defines it on every access, so it is always that module's current
-binding.  ``_HOME`` is the one place that knows which submodule that
-is: the CLI reads every name through this namespace too.  A process
-thus loads only the layers it uses: the CLI's ``--help`` loads no
-arithmetic at all.
+submodule, and each name of ``__all__`` is resolved one way, on every
+access: ``import_module`` of the submodule that defines it, then that
+module's attribute.  So it is always that module's current binding, and
+while that module is still importing in another thread the lookup waits
+on its import lock until the import finishes: no name is read from a
+half-built module.  ``_HOME`` is the one place that knows which
+submodule that is: the CLI reads every name through this namespace too.
+A process thus loads only the layers it uses: the CLI's ``--help``
+loads no arithmetic at all.
 
 ``_Record`` is the one frozen-value base: every value class,
 ``Polynomial``, the records of ``faulhaber`` and the CLI's ``Suite``
@@ -20,7 +23,7 @@ hashable only when its fields are: a ``Suite`` holds a dict, so
 ``hash(SUITES["pascal"])`` raises TypeError.
 """
 
-import sys
+from importlib import import_module
 
 # Each public name and the submodule that defines it.
 _HOME = {
@@ -54,13 +57,7 @@ __all__ = list(_HOME)
 def __getattr__(name: str) -> object:
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    home = f"{__name__}.{_HOME[name]}"
-    try:  # the home module is loaded: skip the import machinery
-        return getattr(sys.modules[home], name)
-    except (KeyError, AttributeError):  # not loaded yet, or still loading in another thread
-        from importlib import import_module
-
-        return getattr(import_module(home), name)
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
 
 
 def __dir__() -> list[str]:

@@ -206,9 +206,7 @@ def poly_combination(terms: Iterable[tuple[int, Polynomial]], var: str, divisor:
     acc = [0] * max([len(p._nums) for _, p in terms], default=0)
     for c, p in terms:
         f = c * (den // p._den)
-        if f:
-            nums = p._nums
-            acc[: len(nums)] = [x + f * y for x, y in zip(acc, nums)]
+        acc[: len(p._nums)] = [x + f * y for x, y in zip(acc, p._nums)]
     return _canonical(acc, den * divisor, var)
 
 

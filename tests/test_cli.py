@@ -34,6 +34,9 @@ BERNOULLI_5_GOLDEN = (
     "5\t0\n"
 )
 
+# Each perfbench request's exit code and stdout SHA-256, by its argv joined with spaces.
+BENCHMARK_GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
 EVAL_7_2_GOLDEN = (
     "polynomial\t129\n"
     "direct\t129\n"
@@ -294,7 +297,7 @@ class TestDeterminism:
 class TestBenchmarkGoldens:
     def test_every_request_replays_byte_identical(self, cli):
         """Each request of perfbench/golden.json gives its recorded exit code and stdout SHA-256."""
-        golden = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text())
+        golden = json.loads(BENCHMARK_GOLDEN.read_text())
         assert golden
         mismatched = []
         for key, expected in golden.items():
@@ -617,6 +620,54 @@ class TestConcurrentRuns:
         for parses in results.values():
             assert [result for _, result in parses] == [expected[argv] for argv, _ in parses]
 
+    # One request of each warm-requests kind, all started at once in a fresh
+    # interpreter: every thread's first read of the namespace may land while
+    # another thread is still importing that name's layer.
+    COLD_FIRST_USE = (
+        "bernoulli 30",
+        "eval 4 7",
+        "powersum 12",
+        "powersum 9 --basis t",
+        "coeffs 5",
+        "--format json tform 7",
+        "verify telescoping --max-m 2 --max-n 10",
+        "tform 0",
+    )
+    COLD_CHILD = """
+import hashlib, io, sys, threading
+from powersums import cli
+
+start = threading.Barrier(len(sys.argv) - 1)
+results = []
+
+
+def call(key):
+    out = io.StringIO()
+    start.wait(60)
+    code = cli.run(key.split(" "), out, io.StringIO())
+    results.append(f"{code} {hashlib.sha256(out.getvalue().encode()).hexdigest()} {key}")
+
+
+sys.setswitchinterval(1e-5)  # switch threads often, mid-import
+threads = [threading.Thread(target=call, args=(key,)) for key in sys.argv[1:]]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+print(*results, sep="\\n")
+"""
+
+    def test_concurrent_first_use_in_a_cold_process_matches_the_goldens(self, popen):
+        golden = json.loads(BENCHMARK_GOLDEN.read_text())
+        proc = popen("-c", self.COLD_CHILD, *self.COLD_FIRST_USE)
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        results = {}
+        for line in out.decode().splitlines():
+            code, digest, key = line.split(" ", 2)
+            results[key] = [int(code), digest]
+        assert results == {key: golden[key] for key in self.COLD_FIRST_USE}
+
 
 class TestJson:
     @pytest.mark.parametrize("argv", list(JSON_GOLDEN), ids=" ".join)
@@ -682,9 +733,7 @@ class TestJson:
 
 
 # The process entry point, as ``python`` arguments for a short run that passes.
-ENTRY_POINTS = {
-    "cli": ("-m", "powersums", "tform", "3"),
-}
+ENTRY_POINT = ("-m", "powersums", "tform", "3")
 
 # Runs under -X dev, as ``python`` arguments: the CLI's exits 0 and 2.
 DEV_MODE_RUNS = {
@@ -878,13 +927,12 @@ class TestProcessEnd:
     }
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
     @pytest.mark.parametrize("case", REDIRECTS.values(), ids=REDIRECTS)
-    def test_exit_code_does_not_depend_on_buffering(self, redirected, entry, case, unbuffered):
+    def test_exit_code_does_not_depend_on_buffering(self, redirected, case, unbuffered):
         extra, redirect, code, err = case
         if "/dev/full" in redirect and not Path("/dev/full").exists():
             pytest.skip("no /dev/full")
-        proc = redirected(redirect, *entry, *extra, unbuffered=unbuffered)
+        proc = redirected(redirect, *ENTRY_POINT, *extra, unbuffered=unbuffered)
         assert (proc.returncode, proc.stdout) == (code, "")
         if err is None:
             assert proc.stderr.startswith("usage: ")
@@ -892,9 +940,8 @@ class TestProcessEnd:
         else:
             assert proc.stderr == err
 
-    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
-    def test_crash_exits_3_with_traceback(self, popen, entry):
-        proc = popen("-c", LAUNCH.format(plant="faulhaber.power_sum_tform = lambda m: 1 / 0"), *entry)
+    def test_crash_exits_3_with_traceback(self, popen):
+        proc = popen("-c", LAUNCH.format(plant="faulhaber.power_sum_tform = lambda m: 1 / 0"), *ENTRY_POINT)
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 3
         assert err.startswith(b"Traceback (most recent call last):\n")

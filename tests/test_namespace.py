@@ -6,6 +6,7 @@ import pytest
 
 import powersums
 from powersums import faulhaber
+from powersums.polynomial import Polynomial
 
 HOMES = {
     "exact_arith": ("Rational", "as_rational"),
@@ -55,3 +56,62 @@ def test_bare_import_loads_no_submodule(popen):
     proc = popen("-S", "-c", "import sys, powersums; print(*sorted(m for m in sys.modules if 'powersums' in m))")
     out, err = proc.communicate(timeout=60)
     assert (proc.returncode, out, err) == (0, b"powersums\n", b"")
+
+
+# Thread A imports powersums.polynomial and pauses on the first line after
+# ``class Polynomial`` is bound, before the helpers its constructor calls;
+# thread B then reads powersums.Polynomial and builds one.  B must wait
+# for A's import to finish, not build from the half-built module.
+FIRST_USE_DURING_IMPORT = """
+import sys, threading
+import powersums
+
+bound, release = threading.Event(), threading.Event()
+
+
+def pause_once_bound(frame, event, arg):
+    if event == "line" and "Polynomial" in frame.f_globals and not bound.is_set():
+        bound.set()
+        release.wait(60)
+    return pause_once_bound
+
+
+def tracer(frame, event, arg):
+    if frame.f_code.co_name == "<module>" and frame.f_globals["__name__"] == "powersums.polynomial":
+        return pause_once_bound
+    return None
+
+
+def load():
+    sys.settrace(tracer)
+    import powersums.polynomial
+
+
+built, raised = [], []
+
+
+def use():
+    try:
+        built.append(powersums.Polynomial((1, 2), "n"))
+    except Exception as exc:
+        raised.append(repr(exc))
+
+
+a, b = threading.Thread(target=load), threading.Thread(target=use)
+a.start()
+assert bound.wait(60)
+b.start()
+b.join(3)
+waited = b.is_alive()
+release.set()
+a.join(60)
+b.join(60)
+print(waited, built, raised)
+"""
+
+
+def test_a_name_read_during_its_modules_import_waits_for_it(popen):
+    proc = popen("-c", FIRST_USE_DURING_IMPORT)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    assert out.decode() == f"True {[Polynomial((1, 2), 'n')]} []\n"
