@@ -7,26 +7,27 @@ code, a function that builds the JSON payload from JSON-ready records,
 and the text lines.  ``run`` is the only writer of a call and
 renders that result as text or as JSON.  Its parser prints nothing
 either: help and usage errors come back as text (``_ParserExit``),
-which ``run`` writes to the call's own sinks, so ``run`` never touches
-``sys.stdout`` or ``sys.stderr`` unless they are the sinks, and
-concurrent calls need no lock.  This module itself imports no
-arithmetic, so ``--help`` and usage errors load none.  Output is
-deterministic byte-for-byte.  Text tables are tab-separated; polynomials
-use the display grammar of the polynomial module.  With ``--format json``
-every rational is emitted as a two-field record of decimal strings
-(``{"num": ..., "den": ...}``) -- never as a float, because the
-coefficients outgrow 64-bit range almost immediately.
+which ``run`` writes to the call's own sinks.  ``run`` writes to no
+stream but the two sinks its caller passes (it never names
+``sys.stdout`` or ``sys.stderr``), so concurrent calls need no lock.
+This module itself imports no arithmetic, so ``--help`` and usage errors
+load none.  Output is deterministic byte-for-byte.  Text tables are
+tab-separated; polynomials use the display grammar of the polynomial
+module.  With ``--format json`` every rational is emitted as a
+two-field record of decimal strings (``{"num": ..., "den": ...}``) --
+never as a float, because the coefficients outgrow 64-bit range almost
+immediately.
 
 Exit codes: 0 on success with all verifications passing, 1 if any
 verification instance fails, 2 on usage or parse errors (which print a
-usage message to stderr and nothing to stdout).  ``end_process`` ends
-the process of the ``powersums`` command (``main``), the package's one
-process entry point, and adds three more: 141 when stdout is closed
-early (a broken pipe, as in ``powersums ... | head -1``; nothing on
-stderr), 130 on an interrupt, and 3 on any other uncaught error
-(traceback on stderr) or when an output stream cannot be written (one
-line on stderr, if stderr can take it).  Each of these codes is the same
-whether or not the streams are buffered.
+usage message to stderr and nothing to stdout).  ``main``, the
+``powersums`` command and the package's one process entry point, passes
+``run`` the process streams, ends the process and adds three more: 141
+when stdout is closed early (a broken pipe, as in ``powersums ... |
+head -1``; nothing on stderr), 130 on an interrupt, and 3 on any other
+uncaught error (traceback on stderr) or when an output stream cannot be
+written (one line on stderr, if stderr can take it).  Each of these
+codes is the same whether or not the streams are buffered.
 
 ``SUITES`` is the one registry of verification suites: for each of
 pascal, faulhaber, odd-bernoulli and telescoping it holds the default
@@ -272,10 +273,8 @@ def _cmd_eval(args: argparse.Namespace) -> _Result:
     }, lines
 
 
-def run(argv: Iterable[str], stdout: TextIOBase | None = None, stderr: TextIOBase | None = None) -> int:
-    """Parse and execute one invocation; render its result as text or JSON to the given sinks."""
-    out = sys.stdout if stdout is None else stdout
-    err = sys.stderr if stderr is None else stderr
+def run(argv: Iterable[str], out: TextIOBase, err: TextIOBase) -> int:
+    """Parse and execute one invocation; render its result as text or JSON to ``out``, usage errors to ``err``."""
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -316,10 +315,10 @@ def _flushed(stream: TextIOBase | None, fd: int, text: str = "") -> bool:
     return True
 
 
-def end_process(job: Callable[[], int]) -> None:
-    """End the process with the exit code of ``job()``: the package's one exit policy.
+def main(argv: list[str] | None = None) -> None:
+    """Entry point of the ``powersums`` command: ``run`` on sys.argv, then the package's one exit policy.
 
-    ``job`` returns 0, 1 or 2 by its verdict.  The process exits 141 when
+    ``run`` returns 0, 1 or 2 by its verdict.  The process exits 141 when
     stdout is closed early (a broken pipe, as in ``... | head -1``; nothing
     on stderr), 3 when an output stream cannot be written otherwise
     (closed from the start, or a full device; one line on stderr if
@@ -328,13 +327,13 @@ def end_process(job: Callable[[], int]) -> None:
     failed verification.  Both streams are flushed here, so the exit code
     is the same whether or not they are buffered.
 
-    Two process-wide settings are ``end_process``'s alone; ``run`` leaves
-    both as its caller set them.  It lifts the int-to-str digit limit
-    before the job, and once the exit code is fixed and both streams are
-    flushed it freezes the garbage collector (``gc.freeze``), so the
-    interpreter's shutdown collections skip the objects the process holds:
-    atexit handlers, stream flushing and module teardown still run, and
-    the output bytes and exit codes stay the same.
+    Two process-wide settings are ``main``'s alone; ``run`` leaves both as
+    its caller set them.  It lifts the int-to-str digit limit before the
+    call, and once the exit code is fixed and both streams are flushed it
+    freezes the garbage collector (``gc.freeze``), so the interpreter's
+    shutdown collections skip the objects the process holds: atexit
+    handlers, stream flushing and module teardown still run, and the
+    output bytes and exit codes stay the same.
     """
     # Print integers of any size: Python 3.11+ (and 3.10.7+) refuse by
     # default to convert an int of more than 4300 digits to str.
@@ -344,13 +343,13 @@ def end_process(job: Callable[[], int]) -> None:
     try:
         if sys.stdout is None:  # fd 1 was closed when the process started
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        code = job()
+        code = run(sys.argv[1:] if argv is None else argv, sys.stdout, sys.stderr)
         # Flush inside the try, so that a closed pipe surfaces here.
         sys.stdout.flush()
     except BrokenPipeError:
         code = 141
     except OSError as exc:
-        # A job does no I/O but writing its output, so that write failed.
+        # ``run`` does no I/O but writing its output, so that write failed.
         # Were it stderr's, the report fails as well and nothing shows.
         code, report = 3, f"error: cannot write to stdout: {exc}\n"
     except KeyboardInterrupt:
@@ -368,8 +367,3 @@ def end_process(job: Callable[[], int]) -> None:
     # collections need not traverse them (about 12k after the import).
     gc.freeze()
     raise SystemExit(code)
-
-
-def main(argv: list[str] | None = None) -> None:
-    """Entry point of the ``powersums`` command: ``run`` on sys.argv, ended by ``end_process``."""
-    end_process(lambda: run(sys.argv[1:] if argv is None else argv))

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import signal
 import sys
 import threading
 from fractions import Fraction
@@ -468,7 +469,8 @@ class TestExitCodes:
 
         monkeypatch.setattr(powersums.cli, "_cmd_eval", handler)
         with pytest.raises(type(error)):
-            powersums.cli.run(["eval", "3", "4"])  # in-process callers see the exception
+            # In-process callers see the exception.
+            powersums.cli.run(["eval", "3", "4"], io.StringIO(), io.StringIO())
         with pytest.raises(SystemExit) as exit_info:
             powersums.cli.main(["eval", "3", "4"])
         assert exit_info.value.code == expected
@@ -508,8 +510,8 @@ class _HookedSink(io.StringIO):
 class TestConcurrentRuns:
     def test_overlapping_parses_restore_the_process_streams(self, cli):
         # A prints its help and then waits (up to 0.3 s) for B to write; B's
-        # sink waits for A to finish.  Were the two redirects to interleave,
-        # B would exit last and leave sys.stdout pointing at A's sink.
+        # sink waits for A to finish.  Two calls that overlap so must leave
+        # sys.stdout and sys.stderr as they found them, whichever ends last.
         a_writing, b_wrote, a_done = threading.Event(), threading.Event(), threading.Event()
 
         def a_hook():
@@ -545,10 +547,15 @@ class TestConcurrentRuns:
         for name, (out, err) in sinks.items():
             assert (codes[name], out.getvalue(), err.getvalue()) == expected, name
 
-    @pytest.mark.parametrize("argv", [["--help"], ["tform", "0"]], ids=["help", "usage-error"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["tform", "0"], ["tform", "3"], ["--format", "json", "bernoulli", "3"]],
+        ids=["help", "usage-error", "text-result", "json-result"],
+    )
     def test_other_threads_output_stays_out_of_the_sinks(self, cli, capsys, argv):
-        # While run writes its help or usage error, a second thread prints to
-        # the process streams; that text must reach them, not the call's sinks.
+        # While run writes its help, usage error or result, a second thread
+        # prints to the process streams; that text must reach them, not the
+        # call's sinks.
         streams, seen = (sys.stdout, sys.stderr), []
 
         def stray():
@@ -912,7 +919,7 @@ NO_STDOUT = "error: cannot write to stdout: "
 
 
 class TestProcessEnd:
-    """The process entry point ends through ``cli.end_process``, by one exit table."""
+    """The process entry point, ``cli.main``, ends every process by one exit table."""
 
     # (extra arguments, redirect, exit code, stderr), the same buffered or
     # not; None for a usage error's stderr, whose usage line is argparse's.
@@ -974,12 +981,9 @@ class TestProcessEnd:
 
     def test_closed_pipe_exits_141(self, popen):
         job = (
-            "from powersums.cli import end_process\n"
-            "def job():\n"
-            "    for i in range(100_000):  # about 590 KB, more than a pipe buffers\n"
-            "        print(i)\n"
-            "    return 0\n"
-            "end_process(job)\n"
+            "from powersums import cli\n"
+            "cli._cmd_eval = lambda args: (0, dict, range(100_000))  # about 590 KB, more than a pipe buffers\n"
+            "cli.main(['eval', '1', '1'])\n"
         )
         proc = popen("-c", job)
         first = proc.stdout.readline()
@@ -987,3 +991,26 @@ class TestProcessEnd:
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
         assert (first, err) == (b"0\n", b"")
+
+    def test_interrupt_exits_130(self, popen):
+        # Uninterrupted, the sweep runs for seconds; it signals ready at m = 2.
+        # Python's own SIGINT handler is set again in case the test runner
+        # ignores SIGINT, which a child would otherwise inherit.
+        job = (
+            "import signal, sys\n"
+            "from powersums import cli, faulhaber\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+            "check = faulhaber.verify_pascal_identity\n"
+            "def announced(m):\n"
+            "    if m == 2:\n"
+            "        sys.stderr.write('ready\\n')\n"
+            "        sys.stderr.flush()\n"
+            "    return check(m)\n"
+            "faulhaber.verify_pascal_identity = announced\n"
+            "cli.main(['verify', 'pascal', '--max', '300'])\n"
+        )
+        proc = popen("-c", job)
+        assert proc.stderr.readline() == b"ready\n"
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (130, b"", b"")
