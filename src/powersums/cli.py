@@ -20,14 +20,17 @@ immediately.
 
 Exit codes: 0 on success with all verifications passing, 1 if any
 verification instance fails, 2 on usage or parse errors (which print a
-usage message to stderr and nothing to stdout).  ``main``, the
-``powersums`` command and the package's one process entry point, passes
-``run`` the process streams, ends the process and adds three more: 141
-when stdout is closed early (a broken pipe, as in ``powersums ... |
-head -1``; nothing on stderr), 130 on an interrupt, and 3 on any other
-uncaught error (traceback on stderr) or when an output stream cannot be
-written (one line on stderr, if stderr can take it).  Each of these
-codes is the same whether or not the streams are buffered.
+usage message to stderr and nothing to stdout).  ``main`` takes no
+arguments and runs only as the process (the ``powersums`` command and
+``python -m powersums``): it passes ``run`` ``sys.argv[1:]`` and the
+process streams, ends the process and adds three more codes: 141 when an
+output pipe's reader has gone (stdout closed early, as in ``powersums ...
+| head -1``, or a usage error written into a closed stderr pipe; nothing
+on stderr), 130 on an interrupt, and 3 on any other uncaught error
+(traceback on stderr) or when an output stream cannot be written
+otherwise (one line on stderr, if stderr can take it).  Each of these
+codes is the same whether or not the streams are buffered.  In-process
+callers use ``run``.
 
 ``SUITES`` is the one registry of verification suites: for each of
 pascal, faulhaber, odd-bernoulli and telescoping it holds the default
@@ -315,17 +318,19 @@ def _flushed(stream: TextIOBase | None, fd: int, text: str = "") -> bool:
     return True
 
 
-def main(argv: list[str] | None = None) -> None:
-    """Entry point of the ``powersums`` command: ``run`` on sys.argv, then the package's one exit policy.
+def main() -> None:
+    """The ``powersums`` process: ``run`` on ``sys.argv[1:]``, then the package's one exit policy.
 
-    ``run`` returns 0, 1 or 2 by its verdict.  The process exits 141 when
-    stdout is closed early (a broken pipe, as in ``... | head -1``; nothing
-    on stderr), 3 when an output stream cannot be written otherwise
-    (closed from the start, or a full device; one line on stderr if
-    stderr can still take it), 130 on an interrupt, and 3 with a
-    traceback on any other uncaught error, so a crash never reads as a
-    failed verification.  Both streams are flushed here, so the exit code
-    is the same whether or not they are buffered.
+    It takes no arguments and never returns, so only a process runs it;
+    in-process callers use ``run``.  ``run`` returns 0, 1 or 2 by its
+    verdict.  The process exits 141 on any broken pipe (stdout closed
+    early, as in ``... | head -1``, or a usage error written into a stderr
+    pipe whose reader has gone; nothing on stderr), 3 when an output
+    stream cannot be written otherwise (closed from the start, or a full
+    device; one line on stderr if stderr can still take it), 130 on an
+    interrupt, and 3 with a traceback on any other uncaught error, so a
+    crash never reads as a failed verification.  Both streams are flushed
+    here, so the exit code is the same whether or not they are buffered.
 
     Two process-wide settings are ``main``'s alone; ``run`` leaves both as
     its caller set them.  It lifts the int-to-str digit limit before the
@@ -343,7 +348,7 @@ def main(argv: list[str] | None = None) -> None:
     try:
         if sys.stdout is None:  # fd 1 was closed when the process started
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        code = run(sys.argv[1:] if argv is None else argv, sys.stdout, sys.stderr)
+        code = run(sys.argv[1:], sys.stdout, sys.stderr)
         # Flush inside the try, so that a closed pipe surfaces here.
         sys.stdout.flush()
     except BrokenPipeError:

@@ -1,4 +1,3 @@
-import gc
 import io
 import os
 import subprocess
@@ -16,26 +15,6 @@ settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-
-
-@pytest.fixture(autouse=True)
-def _restore_int_str_limit():
-    """Put back the int-to-str digit limit that an in-process ``cli.main`` lifts."""
-    if not hasattr(sys, "get_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    yield
-    sys.set_int_max_str_digits(limit)
-
-
-@pytest.fixture(autouse=True)
-def _unfreeze_gc():
-    """Thaw the heap that an in-process ``cli.main`` froze before its SystemExit."""
-    frozen = gc.get_freeze_count()
-    yield
-    if gc.get_freeze_count() != frozen:
-        gc.unfreeze()
 
 
 @pytest.fixture
@@ -75,16 +54,14 @@ def cli_subprocess():
 def redirected():
     """Run ``python *args`` with its streams redirected by the shell, as in ``>&-``; returns CompletedProcess.
 
-    ``unbuffered`` sets PYTHONUNBUFFERED to 1 (True) or unsets it (False);
-    by default the child inherits it.
+    ``unbuffered`` sets PYTHONUNBUFFERED to 1 (True) or unsets it (False).
     """
 
-    def invoke(redirect: str, *args: str, unbuffered: bool | None = None):
+    def invoke(redirect: str, *args: str, unbuffered: bool):
         env = _subprocess_env()
-        if unbuffered is not None:
-            env.pop("PYTHONUNBUFFERED", None)
-            if unbuffered:
-                env["PYTHONUNBUFFERED"] = "1"
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         return subprocess.run(
             ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, *args],
             capture_output=True,
@@ -98,14 +75,14 @@ def redirected():
 
 @pytest.fixture
 def popen():
-    """Start ``python *args`` with piped stdout and stderr; returns the Popen."""
+    """Start ``python *args`` with piped stdout and, unless ``stderr`` names another file, stderr; returns the Popen."""
     started = []
 
-    def start(*args: str):
+    def start(*args: str, stderr=subprocess.PIPE):
         proc = subprocess.Popen(
             [sys.executable, *args],
             stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
+            stderr=stderr,
             env=_subprocess_env(),
         )
         started.append(proc)
@@ -116,11 +93,5 @@ def popen():
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
-        for stream in (proc.stdout, proc.stderr):
+        for stream in filter(None, (proc.stdout, proc.stderr)):
             stream.close()
-
-
-@pytest.fixture
-def cli_popen(popen):
-    """Start the CLI as a subprocess with piped stdout and stderr; returns the Popen."""
-    return lambda *args: popen("-m", "powersums", *args)

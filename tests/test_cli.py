@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import random
 import signal
 import sys
@@ -386,19 +387,6 @@ class TestExitCodes:
         assert code == 0
         assert "usage" in out
 
-    def test_failing_verification_exits_one(self, cli, monkeypatch):
-        def broken(m):
-            return VerificationReport(f"faulhaber m={m}", Polynomial((1,), "n"), Polynomial((2,), "n"))
-
-        monkeypatch.setattr(powersums.faulhaber, "verify_faulhaber", broken)
-        code, out, _ = cli("verify", "faulhaber", "--max", "2")
-        assert code == 1
-        assert out == (
-            "FAIL faulhaber m=1\n"
-            "FAIL faulhaber m=2\n"
-            "faulhaber: 0/2 passed\n"
-        )
-
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_failing_check_fails_every_suite(self, cli, monkeypatch, name):
         # Each suite's check looks up its module function at call time, so
@@ -461,21 +449,16 @@ class TestExitCodes:
         assert code == 1
         assert out.endswith("agree\tfalse\n")
 
-
-    @pytest.mark.parametrize("error, expected", [(RuntimeError("boom"), 3), (KeyboardInterrupt(), 130)])
-    def test_uncaught_errors_get_their_own_exit_codes(self, monkeypatch, capsys, error, expected):
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), KeyboardInterrupt()], ids=["crash", "interrupt"])
+    def test_in_process_run_raises_uncaught_errors(self, monkeypatch, error):
+        # Only the process maps them to exit codes (TestProcessEnd: 3 with a
+        # traceback, 130); in-process callers see the exception.
         def handler(args):
             raise error
 
         monkeypatch.setattr(powersums.cli, "_cmd_eval", handler)
         with pytest.raises(type(error)):
-            # In-process callers see the exception.
             powersums.cli.run(["eval", "3", "4"], io.StringIO(), io.StringIO())
-        with pytest.raises(SystemExit) as exit_info:
-            powersums.cli.main(["eval", "3", "4"])
-        assert exit_info.value.code == expected
-        err = capsys.readouterr().err
-        assert ("RuntimeError: boom" in err) == (expected == 3)
 
 
 class TestHelpAndUsageBytes:
@@ -742,6 +725,20 @@ class TestJson:
 # The process entry point, as ``python`` arguments for a short run that passes.
 ENTRY_POINT = ("-m", "powersums", "tform", "3")
 
+# ``python -c LAUNCH -m powersums ARGS...`` runs ``python -m powersums
+# ARGS...``, the module entry users run, after PLANT has run in the same
+# process, with ``sys`` and ``faulhaber`` imported.  A plant patches a
+# function or registers a handler (atexit, SIGINT).  The CLI reads every
+# function through the ``powersums`` namespace when it runs, so a patched
+# function is what runs.
+LAUNCH = """
+import runpy, sys
+from powersums import faulhaber
+{plant}
+del sys.argv[:2]
+runpy.run_module(sys.argv[0], run_name="__main__", alter_sys=True)
+"""
+
 # Runs under -X dev, as ``python`` arguments: the CLI's exits 0 and 2.
 DEV_MODE_RUNS = {
     "help": ("-m", "powersums", "--help"),
@@ -765,10 +762,10 @@ class TestSubprocess:
         assert proc.stdout == ""
         assert proc.stderr != ""
 
-    def test_closed_pipe_exits_141_without_traceback(self, cli_popen):
+    def test_closed_pipe_exits_141_without_traceback(self, popen):
         # About 108 KB of output, more than a pipe buffers, so the CLI is
         # still writing when the reader goes away, as with `| head -1`.
-        proc = cli_popen("verify", "telescoping", "--max-m", "20", "--max-n", "200")
+        proc = popen("-m", "powersums", "verify", "telescoping", "--max-m", "20", "--max-n", "200")
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
@@ -777,15 +774,14 @@ class TestSubprocess:
         assert err == b""
 
     def test_shutdown_still_runs_atexit_handlers(self, popen, cli):
-        child = (
-            "import atexit, sys\n"
-            "from powersums import cli\n"
-            "atexit.register(lambda: sys.stderr.write('atexit ran\\n'))\n"
-            "cli.main(['bernoulli', '400'])\n"
+        # The handler runs after main has frozen the heap, and says so.
+        plant = (
+            "import atexit, gc\n"
+            "atexit.register(lambda: sys.stderr.write(f'atexit ran, heap frozen: {gc.get_freeze_count() > 0}\\n'))\n"
         )
-        proc = popen("-c", child)
+        proc = popen("-c", LAUNCH.format(plant=plant), "-m", "powersums", "bernoulli", "400")
         out, err = proc.communicate(timeout=60)
-        assert (proc.returncode, err) == (0, b"atexit ran\n")
+        assert (proc.returncode, err) == (0, b"atexit ran, heap frozen: True\n")
         assert out.decode() == cli("bernoulli", "400")[1]
 
     @pytest.mark.parametrize("args", DEV_MODE_RUNS.values(), ids=DEV_MODE_RUNS)
@@ -800,25 +796,22 @@ class TestSubprocess:
 
 
 class TestProcessEntryPoint:
-    # Run main in a child, with power_sum_poly_n patched to return a
+    # The CLI in a child, with power_sum_poly_n patched to return a
     # 5001-digit constant: Python refuses by default to print an int of
     # more than 4300 digits.
-    HUGE = """
-import sys
-from powersums import cli, faulhaber
-from powersums.polynomial import Polynomial
-faulhaber.power_sum_poly_n = lambda m: Polynomial((10**5000,), "n")
-cli.main(sys.argv[1:])
-"""
+    HUGE = LAUNCH.format(plant=(
+        "from powersums.polynomial import Polynomial\n"
+        "faulhaber.power_sum_poly_n = lambda m: Polynomial((10**5000,), 'n')\n"
+    ))
 
     def test_huge_integers_print_in_full(self, popen):
-        proc = popen("-c", self.HUGE, "powersum", "1")
+        proc = popen("-c", self.HUGE, "-m", "powersums", "powersum", "1")
         out, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (0, b"")
         assert out == b"1" + b"0" * 5000 + b"\n"
 
     def test_huge_integers_print_in_full_as_json(self, popen):
-        proc = popen("-c", self.HUGE, "--format", "json", "powersum", "1")
+        proc = popen("-c", self.HUGE, "-m", "powersums", "--format", "json", "powersum", "1")
         out, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (0, b"")
         coefficient = json.loads(out)["polynomial"]["coefficients"][0]
@@ -829,18 +822,23 @@ cli.main(sys.argv[1:])
         # B_2064 is the first value past 4300 digits; B_2100's numerator has 4419.
         proc = cli_subprocess("--format", fmt, "bernoulli", "2100")
         assert (proc.returncode, proc.stderr) == (0, "")
-        if hasattr(sys, "set_int_max_str_digits"):
-            sys.set_int_max_str_digits(0)  # to render the expected value; restored after the test
         last = bernoulli(2100)
-        if fmt == "text":
-            lines = proc.stdout.splitlines()
-            assert len(lines) == 2101
-            assert lines[-1] == f"2100\t{last}"
-        else:
-            values = json.loads(proc.stdout)["values"]
-            assert len(values) == 2101
-            expected = {"num": str(last.numerator), "den": str(last.denominator)}
-            assert values[-1] == {"index": 2100, "value": expected}
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)  # to render the expected value
+        try:
+            if fmt == "text":
+                lines = proc.stdout.splitlines()
+                assert len(lines) == 2101
+                assert lines[-1] == f"2100\t{last}"
+            else:
+                values = json.loads(proc.stdout)["values"]
+                assert len(values) == 2101
+                expected = {"num": str(last.numerator), "den": str(last.denominator)}
+                assert values[-1] == {"index": 2100, "value": expected}
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
     def test_in_process_run_keeps_the_int_str_limit(self, cli):
@@ -858,13 +856,6 @@ cli.main(sys.argv[1:])
         frozen = gc.get_freeze_count()
         assert cli("tform", "5")[0] == 0
         assert gc.get_freeze_count() == frozen
-
-    def test_main_freezes_the_heap_before_exit(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            powersums.cli.main(["bernoulli", "5"])
-        assert exit_info.value.code == 0
-        assert capsys.readouterr().out == BERNOULLI_5_GOLDEN
-        assert gc.get_freeze_count() > 0  # thawed by conftest after the test
 
     def test_import_loads_no_crash_or_json_machinery(self, popen):
         # -S keeps site-packages .pth files from importing these first.
@@ -902,24 +893,16 @@ cli.main(sys.argv[1:])
         assert loaded == expected
 
 
-# ``python -c LAUNCH -m MODULE ARGS...`` runs ``python -m MODULE ARGS...``
-# after PLANT has patched the faulhaber module.  The CLI reads every
-# function through the ``powersums`` namespace when it runs, so the patch
-# is what runs.
-LAUNCH = """
-import runpy, sys
-from powersums import faulhaber
-{plant}
-del sys.argv[:2]
-runpy.run_module(sys.argv[0], run_name="__main__", alter_sys=True)
-"""
-
-
 NO_STDOUT = "error: cannot write to stdout: "
 
 
 class TestProcessEnd:
-    """The process entry point, ``cli.main``, ends every process by one exit table."""
+    """The process entry point, ``cli.main``, ends every process by one exit table.
+
+    ``main`` takes no arguments and runs only as the process, so every case
+    here is a real child started as ``python -m powersums`` (through
+    ``LAUNCH`` when it plants code), with its streams redirected or piped.
+    """
 
     # (extra arguments, redirect, exit code, stderr), the same buffered or
     # not; None for a usage error's stderr, whose usage line is argparse's.
@@ -931,6 +914,8 @@ class TestProcessEnd:
         "closed": ((), ">&-", 3, f"{NO_STDOUT}[Errno 9] Bad file descriptor\n"),
         "usage": (("--bogus",), "", 2, None),
         "stderr-full-unused": ((), ">/dev/null 2>/dev/full", 0, ""),
+        "stderr-closed-unused": ((), ">/dev/null 2>&-", 0, ""),
+        "usage-stderr-closed": (("--bogus",), "2>&-", 3, ""),
     }
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
@@ -979,26 +964,23 @@ class TestProcessEnd:
         assert (proc.returncode, err) == (1, b"")
         assert lines == [f"PASS faulhaber m={m}" for m in range(1, 5)] + ["FAIL faulhaber m=5", "faulhaber: 4/5 passed"]
 
-    def test_closed_pipe_exits_141(self, popen):
-        job = (
-            "from powersums import cli\n"
-            "cli._cmd_eval = lambda args: (0, dict, range(100_000))  # about 590 KB, more than a pipe buffers\n"
-            "cli.main(['eval', '1', '1'])\n"
-        )
-        proc = popen("-c", job)
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 141
-        assert (first, err) == (b"0\n", b"")
+    @pytest.mark.parametrize("argv", [("tform", "0"), ("tform", "3", "--bogus")], ids=["bad-value", "bad-option"])
+    def test_usage_error_into_a_closed_stderr_pipe_exits_141(self, popen, argv):
+        # The reader is gone before the child starts, so its usage message
+        # meets a broken pipe, like stdout's in ``... | head -1``.
+        read, write = os.pipe()
+        os.close(read)
+        proc = popen("-m", "powersums", *argv, stderr=write)
+        os.close(write)
+        out, _ = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (141, b"")
 
     def test_interrupt_exits_130(self, popen):
         # Uninterrupted, the sweep runs for seconds; it signals ready at m = 2.
         # Python's own SIGINT handler is set again in case the test runner
         # ignores SIGINT, which a child would otherwise inherit.
-        job = (
-            "import signal, sys\n"
-            "from powersums import cli, faulhaber\n"
+        plant = (
+            "import signal\n"
             "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
             "check = faulhaber.verify_pascal_identity\n"
             "def announced(m):\n"
@@ -1007,9 +989,8 @@ class TestProcessEnd:
             "        sys.stderr.flush()\n"
             "    return check(m)\n"
             "faulhaber.verify_pascal_identity = announced\n"
-            "cli.main(['verify', 'pascal', '--max', '300'])\n"
         )
-        proc = popen("-c", job)
+        proc = popen("-c", LAUNCH.format(plant=plant), "-m", "powersums", "verify", "pascal", "--max", "300")
         assert proc.stderr.readline() == b"ready\n"
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=60)
