@@ -34,10 +34,12 @@ callers use ``run``.
 
 ``SUITES`` is the one registry of verification suites: for each of
 pascal, faulhaber, odd-bernoulli and telescoping it holds the default
-bounds, the lowest allowed index and the check that returns one
-instance's ``(label, ok)`` pair.  It lives beside the parser that reads
-its names and defaults.  ``Suite.sweep`` runs the check on every index
-from the lowest one up to its bound.  Each check reads its function from
+bounds, the lowest allowed index and the check that returns whether one
+instance holds.  It lives beside the parser that reads its names and
+defaults.  ``Suite.sweep`` runs the check on every index from the lowest
+one up to its bound.  ``verify`` writes each instance's label, the one
+place labels are made: the suite name, then ``m=<m>``, then ``N=<n>``
+for telescoping.  Each check reads its function from
 the ``powersums`` namespace at every call, so a patched or wrapped
 function in its home module is the one that runs.  ``verify`` is the one
 front end that runs suites from it.
@@ -64,32 +66,28 @@ class Suite(powersums._Record):
     ``defaults`` maps each bound (``max``, or ``max_m`` and ``max_n``) to
     its default, in the order ``check`` and ``sweep`` take them; ``first``
     is the lowest allowed index.  ``check(*indices)`` runs one instance
-    and returns its ``(label, ok)`` pair.
+    and returns whether it holds.
     """
 
     __slots__ = ("defaults", "first", "check")
 
-    def __init__(self, defaults: dict[str, int], first: int, check: Callable[..., tuple[str, bool]]) -> None:
+    def __init__(self, defaults: dict[str, int], first: int, check: Callable[..., bool]) -> None:
         super().__init__(defaults, first, check)
 
-    def sweep(self, *bounds: int) -> Iterator[tuple[str, bool]]:
-        """A generator of ``check`` on each index tuple, every index from ``first`` to its bound.
+    def sweep(self, *bounds: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+        """A generator of ``(indices, check(*indices))``, every index from ``first`` to its bound.
 
         The first index varies slowest, as in nested loops.
         """
         ranges = [range(self.first, top + 1) for top in bounds]
-        return (self.check(*indices) for indices in product(*ranges))
-
-
-def _outcome(report) -> tuple[str, bool]:
-    return report.label, report.holds
+        return ((indices, self.check(*indices)) for indices in product(*ranges))
 
 
 SUITES: dict[str, Suite] = {
-    "pascal": Suite({"max": 40}, 2, lambda m: _outcome(powersums.verify_pascal_identity(m))),
-    "faulhaber": Suite({"max": 40}, 1, lambda m: _outcome(powersums.verify_faulhaber(m))),
+    "pascal": Suite({"max": 40}, 2, lambda m: powersums.verify_pascal_identity(m).holds),
+    "faulhaber": Suite({"max": 40}, 1, lambda m: powersums.verify_faulhaber(m).holds),
     "odd-bernoulli": Suite({"max": 40}, 1, lambda m: powersums.check_odd_bernoulli(m)),
-    "telescoping": Suite({"max_m": 10, "max_n": 50}, 1, lambda m, n: _outcome(powersums.telescoping_check(m, n))),
+    "telescoping": Suite({"max_m": 10, "max_n": 50}, 1, lambda m, n: powersums.telescoping_check(m, n).holds),
 }
 
 _DECIMAL_INT = re.compile(r"[0-9]+")
@@ -249,7 +247,9 @@ def _cmd_coeffs(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Result:
-    results = list(SUITES[args.suite].sweep(*args.bounds.values()))
+    # Each label is the suite name, then m=<m>, then N=<n> for telescoping.
+    sweep = SUITES[args.suite].sweep(*args.bounds.values())
+    results = [(" ".join([args.suite, *(f"{k}={i}" for k, i in zip("mN", indices))]), ok) for indices, ok in sweep]
     passed = sum(1 for _, ok in results if ok)
     total = len(results)
     lines = [f"{'PASS' if ok else 'FAIL'} {label}" for label, ok in results]

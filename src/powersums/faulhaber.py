@@ -48,9 +48,10 @@ inferred value and with the table's listed zero, which rests on it.
 
 The verification suites that run these checks are registered in the
 CLI (``powersums.cli.SUITES``), whose ``verify`` command is their one
-front end.  Each check reads its function through the lazy
-``powersums`` namespace at every call, so a patched function here is
-the one that runs.
+front end and writes each instance's label; a check here returns only
+its report or its verdict.  Each check reads its function through the
+lazy ``powersums`` namespace at every call, so a patched function here
+is the one that runs.
 
 All operations are deterministic and observationally pure.  The shared
 Bernoulli table only ever grows, under a lock.  The memoized T-forms and
@@ -177,12 +178,15 @@ class FaulhaberForm(_Record):
 
 
 class VerificationReport(_Record):
-    """Both sides of a symbolic identity check, as canonical polynomials."""
+    """Both sides of a symbolic identity check, as canonical polynomials.
 
-    __slots__ = ("label", "lhs", "rhs")
+    It names no instance: the CLI's ``verify`` writes each instance's label.
+    """
 
-    def __init__(self, label: str, lhs: Polynomial, rhs: Polynomial) -> None:
-        super().__init__(label, lhs, rhs)
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Polynomial, rhs: Polynomial) -> None:
+        super().__init__(lhs, rhs)
 
     @property
     def holds(self) -> bool:
@@ -200,7 +204,7 @@ def verify_pascal_identity(m: int) -> VerificationReport:
     _at_least(m, 2, "verify_pascal_identity m")
     lhs = t_to_n(monomial(2 ** (m - 1), m, "T"))
     rhs = poly_combination([(comb(m, j), power_sum_poly_n(m + j)) for j in _ladder_indices(m)], "n")
-    return VerificationReport(f"pascal m={m}", lhs, rhs)
+    return VerificationReport(lhs, rhs)
 
 
 def telescoping_check(m: int, n: int) -> VerificationReport:
@@ -218,7 +222,6 @@ def telescoping_check(m: int, n: int) -> VerificationReport:
     _at_least(n, 1, "telescoping_check N")
     ladder = sum(comb(m, j) * power_sum_direct(m + j, n) for j in _ladder_indices(m))
     return VerificationReport(
-        f"telescoping m={m} N={n}",
         poly_from_numerators(((n * (n + 1) // 2) ** m,), 1, "n"),
         poly_from_numerators((ladder,), 2 ** (m - 1), "n"),
     )
@@ -253,7 +256,7 @@ def _t_route(m: int) -> Polynomial:
 
 def verify_faulhaber(m: int) -> VerificationReport:
     """Cross-check the T-route, expanded in n, against the Bernoulli route for S_{2m+1}."""
-    return VerificationReport(f"faulhaber m={m}", t_to_n(_t_route(m)), power_sum_poly_n(2 * m + 1))
+    return VerificationReport(t_to_n(_t_route(m)), power_sum_poly_n(2 * m + 1))
 
 
 def infer_odd_bernoulli(m: int) -> Rational:
@@ -286,8 +289,8 @@ def bernoulli_from_recurrence(row: list[Rational]) -> Rational:
     return Rational(-total, common * (n + 1))
 
 
-def check_odd_bernoulli(m: int) -> tuple[str, bool]:
-    """Both steps of the proof that B_{2m+1} = 0, for one m; the odd-bernoulli suite's check.
+def check_odd_bernoulli(m: int) -> bool:
+    """Whether both steps of the proof that B_{2m+1} = 0 hold for one m; the odd-bernoulli check.
 
     (a) The T-route is right: P_m(T_n) * T_n^2 = S_{2m+1}(n) at
     n = 1..m, against running integer sums.  The route has degree below
@@ -304,4 +307,4 @@ def check_odd_bernoulli(m: int) -> tuple[str, bool]:
     sums = accumulate(n ** (2 * m + 1) for n in range(1, m + 1))
     pinned = route.degree < m + 2 and all(poly_eval(route, t) == s for t, s in zip(accumulate(range(1, m + 1)), sums))
     value = bernoulli_from_recurrence([bernoulli(k) for k in range(2 * m + 1)])
-    return f"odd-bernoulli m={m}", pinned and value == infer_odd_bernoulli(m) == bernoulli(2 * m + 1)
+    return pinned and value == infer_odd_bernoulli(m) == bernoulli(2 * m + 1)
