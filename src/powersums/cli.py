@@ -51,7 +51,6 @@ import argparse
 import errno
 import gc
 import os
-import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from io import TextIOBase
@@ -90,7 +89,6 @@ SUITES: dict[str, Suite] = {
     "telescoping": Suite({"max_m": 10, "max_n": 50}, 1, lambda m, n: powersums.telescoping_check(m, n).holds),
 }
 
-_DECIMAL_INT = re.compile(r"[0-9]+")
 # Every bound option of ``verify``, as argparse dests: max, max_m, max_n.
 _BOUNDS = tuple(dict.fromkeys(key for suite in SUITES.values() for key in suite.defaults))
 # A command's result: exit code, JSON payload (without "command") and text
@@ -115,10 +113,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _uint(minimum: int):
-    """argparse type for a nonnegative decimal integer with a lower bound."""
+    """argparse type for a nonnegative decimal integer with a lower bound.
+
+    Only ASCII digits 0-9: no sign, ``_`` or space, which ``int`` takes,
+    and no digits of other scripts, which ``str.isdecimal`` takes.
+    Leading zeros read as decimal.
+    """
 
     def parse(text: str) -> int:
-        if not _DECIMAL_INT.fullmatch(text):
+        if not (text.isascii() and text.isdecimal()):
             raise argparse.ArgumentTypeError(f"expected a nonnegative decimal integer, got {text!r}")
         value = int(text)
         if value < minimum:

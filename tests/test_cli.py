@@ -287,12 +287,13 @@ _BROKEN_CHECKS = {
     "telescoping": ("telescoping_check", lambda m, n: _FAILED),
 }
 
-# For each suite: the options of a small sweep, and the labels it prints.
+# For each suite: the bounds of a small sweep, in registry order, and the
+# labels `verify` prints for it, the first at the suite's first index.
 SMALL_SWEEPS = {
-    "pascal": (("--max", "3"), [f"pascal m={m}" for m in (2, 3)]),
-    "faulhaber": (("--max", "3"), [f"faulhaber m={m}" for m in (1, 2, 3)]),
-    "odd-bernoulli": (("--max", "3"), [f"odd-bernoulli m={m}" for m in (1, 2, 3)]),
-    "telescoping": (("--max-m", "2", "--max-n", "3"), [f"telescoping m={m} N={n}" for m in (1, 2) for n in (1, 2, 3)]),
+    "pascal": ({"max": 3}, [f"pascal m={m}" for m in (2, 3)]),
+    "faulhaber": ({"max": 3}, [f"faulhaber m={m}" for m in (1, 2, 3)]),
+    "odd-bernoulli": ({"max": 3}, [f"odd-bernoulli m={m}" for m in (1, 2, 3)]),
+    "telescoping": ({"max_m": 2, "max_n": 3}, [f"telescoping m={m} N={n}" for m in (1, 2) for n in (1, 2, 3)]),
 }
 
 
@@ -316,6 +317,42 @@ WRONG_LADDERS = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(SUITES))
+@pytest.mark.parametrize("holds", [True, False], ids=["holds", "broken"])
+def test_small_sweep_of_every_suite(cli, monkeypatch, holds, name):
+    # Each suite's check looks up its module function at call time, so
+    # patching that function alone must fail every instance.
+    bounds, labels = SMALL_SWEEPS[name]
+    if not holds:
+        monkeypatch.setattr(powersums.faulhaber, *_BROKEN_CHECKS[name])
+    code, passed, verdict = (0, len(labels), "PASS") if holds else (1, 0, "FAIL")
+    options = [arg for key, value in bounds.items() for arg in ("--" + key.replace("_", "-"), str(value))]
+
+    lines = [f"{verdict} {label}" for label in labels] + [f"{name}: {passed}/{len(labels)} passed"]
+    assert cli("verify", name, *options) == (code, "".join(line + "\n" for line in lines), "")
+    json_code, out, err = cli("verify", name, *options, "--format", "json")
+    assert (json_code, err) == (code, "")
+    assert list(json.loads(out).items()) == [
+        ("command", "verify"),
+        ("suite", name),
+        *bounds.items(),
+        ("results", [{"label": label, "holds": holds} for label in labels]),
+        ("passed", passed),
+        ("total", len(labels)),
+        ("all_pass", holds),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_bounds_default_to_the_registry(cli, monkeypatch, name):
+    # Broken checks cost nothing, so the default sweep is cheap.
+    monkeypatch.setattr(powersums.faulhaber, *_BROKEN_CHECKS[name])
+    code, out, err = cli("verify", name, "--format", "json")
+    assert (code, err) == (1, "")
+    # The bounds follow "command" and "suite" and precede the four result keys.
+    assert list(json.loads(out).items())[2:-4] == list(SUITES[name].defaults.items())
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, cli):
         code, out, err = cli("frobnicate")
@@ -330,11 +367,15 @@ class TestExitCodes:
         assert err != ""
 
     def test_malformed_integers(self, cli):
-        for bad in ("-1", "1.5", "1_0", "+5", "ten", ""):
+        # Only ASCII digits: not Arabic-Indic, fullwidth or superscript ones.
+        for bad in ("-1", "1.5", "1_0", "+5", "ten", "", "\u0663", "\uff13", "\u00b2", " 3"):
             code, out, err = cli("bernoulli", bad)
             assert code == 2, bad
             assert out == "", bad
             assert err != "", bad
+
+    def test_leading_zeros_are_decimal(self, cli):
+        assert cli("bernoulli", "007") == cli("bernoulli", "7")
 
     def test_out_of_range_integers(self, cli):
         assert cli("powersum", "0")[0] == 2
@@ -359,22 +400,6 @@ class TestExitCodes:
         code, out, _ = cli("--help")
         assert code == 0
         assert "usage" in out
-
-    @pytest.mark.parametrize("name", sorted(SUITES))
-    def test_failing_check_fails_every_suite(self, cli, monkeypatch, name):
-        # Each suite's check looks up its module function at call time, so
-        # patching that function alone must fail every instance.
-        options, labels = SMALL_SWEEPS[name]
-        monkeypatch.setattr(powersums.faulhaber, *_BROKEN_CHECKS[name])
-
-        code, out, _ = cli("verify", name, *options)
-        assert code == 1
-        assert out.splitlines() == [f"FAIL {label}" for label in labels] + [f"{name}: 0/{len(labels)} passed"]
-        code, out, _ = cli("verify", name, *options, "--format", "json")
-        assert code == 1
-        assert '"all_pass": false' in out
-        payload = json.loads(out)
-        assert (payload["passed"], payload["total"]) == (0, len(labels))
 
     @pytest.mark.parametrize("error", WRONG_TFORMS.values(), ids=WRONG_TFORMS)
     def test_wrong_tform_fails_odd_bernoulli(self, cli, monkeypatch, error):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from powersums.faulhaber import power_sum_direct
 from powersums.polynomial import (
     Polynomial,
     monomial,
@@ -32,10 +33,6 @@ def polys(var: str, max_degree: int = 5):
     return st.lists(small_rationals, max_size=max_degree + 1).map(
         lambda cs: Polynomial(tuple(cs), var)
     )
-
-
-def brute_power_sum(m: int, n: int) -> int:
-    return sum(k**m for k in range(1, n + 1))
 
 
 class TestRepresentation:
@@ -60,23 +57,11 @@ class TestRepresentation:
         assert Polynomial((1, 2), "n") == Polynomial((1, 2), "n")
         assert Polynomial((1, 2), "n") != Polynomial((1, 2), "T")
 
-    def test_coefficient_beyond_degree_is_zero(self):
-        assert Polynomial((1,), "n").coefficient(10) == 0
-
 
 class TestArithmetic:
-    def test_t_times_t(self):
-        t = monomial(1, 1, "T")
-        assert t * t == monomial(1, 2, "T")
-
     def test_additive_identity(self):
         p = Polynomial((3, 0, 7), "n")
         assert p + Polynomial((), "n") == p
-
-    def test_n_times_n_plus_one(self):
-        n = monomial(1, 1, "n")
-        n_plus_1 = Polynomial((1, 1), "n")
-        assert n * n_plus_1 == Polynomial((0, 1, 1), "n")
 
     def test_mixed_tags_are_a_domain_error(self):
         with pytest.raises(ValueError):
@@ -94,11 +79,6 @@ class TestArithmetic:
             p - 1
         with pytest.raises(TypeError):
             p * "x"
-
-    def test_mul_degree_law(self):
-        a = Polynomial((1, 2, 3), "n")
-        b = Polynomial((0, 0, 0, 5), "n")
-        assert (a * b).degree == a.degree + b.degree
 
     @given(polys("n"), polys("n"))
     def test_add_commutes_and_normalizes(self, a, b):
@@ -124,13 +104,6 @@ class TestArithmetic:
 
 
 class TestScale:
-    def test_third_of_four_t_minus_one(self):
-        p = Polynomial((-1, 4), "T")
-        assert poly_scale(Fraction(1, 3), p) == Polynomial((Fraction(-1, 3), Fraction(4, 3)), "T")
-
-    def test_scale_by_zero(self):
-        assert poly_scale(0, Polynomial((1, 2, 3), "n")) == Polynomial((), "n")
-
     def test_scale_by_minus_one(self):
         p = Polynomial((1, -2), "n")
         assert poly_scale(-1, p) == -p
@@ -224,15 +197,8 @@ class TestFromNumerators:
 
 
 class TestEval:
-    def test_t_squared_at_six(self):
-        assert poly_eval(monomial(1, 2, "T"), 6) == 36
-
     def test_zero_polynomial(self):
         assert poly_eval(Polynomial((), "n"), Fraction(7, 3)) == 0
-
-    def test_cube_sum_polynomial_at_two(self):
-        s3 = Polynomial((0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)), "n")
-        assert poly_eval(s3, 2) == 9
 
 
 class TestCompose:
@@ -242,16 +208,9 @@ class TestCompose:
         for k in range(42):
             assert t_to_n(monomial(1, k, "T")) == T_AS_N_POLY**k
 
-    def test_result_carries_inner_tag(self):
-        assert t_to_n(Polynomial((1, 1), "T")).var == T_AS_N_POLY.var == "n"
-
     @given(polys("T", 4), small_rationals)
     def test_compose_eval_compatibility(self, p, x):
         assert poly_eval(t_to_n(p), x) == poly_eval(p, poly_eval(T_AS_N_POLY, x))
-
-    def test_degree_multiplies(self):
-        p = Polynomial((1, 0, 0, 2), "T")
-        assert t_to_n(p).degree == p.degree * T_AS_N_POLY.degree
 
     @given(polys("T"))
     def test_linear_coefficient_is_half_the_linear_t_coefficient(self, q):
@@ -262,14 +221,6 @@ class TestCompose:
 
 
 class TestTtoN:
-    def test_t_itself(self):
-        assert t_to_n(monomial(1, 1, "T")) == T_AS_N_POLY
-        assert T_AS_N_POLY == Polynomial((0, Fraction(1, 2), Fraction(1, 2)), "n")
-
-    def test_t_squared(self):
-        expected = Polynomial((0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)), "n")
-        assert t_to_n(monomial(1, 2, "T")) == expected
-
     def test_degree_six_expansion(self):
         # (4/3)T^3 - (1/3)T^2 expands to (2n^6+6n^5+5n^4-n^2)/12, which is
         # the closed form of 1^5+...+n^5; cross-checked by brute force.
@@ -280,7 +231,7 @@ class TestTtoN:
         image = t_to_n(p)
         assert image == expected
         for n in range(1, 8):
-            assert poly_eval(image, n) == brute_power_sum(5, n)
+            assert poly_eval(image, n) == power_sum_direct(5, n)
 
     def test_wrong_tag_is_a_domain_error(self):
         with pytest.raises(ValueError):

@@ -1,38 +1,27 @@
 """The suite registry: the CLI's ``verify`` runs every suite from it."""
 
-import json
-
 import pytest
 
 from powersums.cli import SUITES
 
-SMALL = {"max": 4, "max_m": 2, "max_n": 3}
-
-# The labels `verify` prints for each suite at the SMALL bounds.
-LABELS = {
-    "pascal": [f"pascal m={m}" for m in (2, 3, 4)],
-    "faulhaber": [f"faulhaber m={m}" for m in (1, 2, 3, 4)],
-    "odd-bernoulli": [f"odd-bernoulli m={m}" for m in (1, 2, 3, 4)],
-    "telescoping": [f"telescoping m={m} N={n}" for m in (1, 2) for n in (1, 2, 3)],
-}
-
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_verify_prints_the_registry_labels(cli, name):
+    # One line per instance of the registry's own sweep, in its order: the
+    # verdict, the suite name and that instance's indices.  The label text
+    # itself is pinned once, in test_cli.SMALL_SWEEPS.
     suite = SUITES[name]
-    bounds = {key: SMALL[key] for key in suite.defaults}
-    labels = LABELS[name]
-    options = [arg for key, value in bounds.items() for arg in ("--" + key.replace("_", "-"), str(value))]
+    sweep = list(suite.sweep(*(3 for _ in suite.defaults)))
+    options = [arg for key in suite.defaults for arg in ("--" + key.replace("_", "-"), "3")]
 
     code, out, err = cli("verify", name, *options)
     assert (code, err) == (0, "")
-    assert out.splitlines() == [f"PASS {label}" for label in labels] + [
-        f"{name}: {len(labels)}/{len(labels)} passed"
-    ]
-
-    payload = json.loads(cli("verify", name, "--format", "json")[1])
-    assert [key for key in payload if key in SMALL] == list(suite.defaults)
-    assert {key: payload[key] for key in suite.defaults} == suite.defaults
+    *lines, summary = out.splitlines()
+    assert [
+        (verdict, suite_name, tuple(int(field.split("=")[1]) for field in fields))
+        for verdict, suite_name, *fields in map(str.split, lines)
+    ] == [("PASS" if holds else "FAIL", name, indices) for indices, holds in sweep]
+    assert summary == f"{name}: {len(sweep)}/{len(sweep)} passed"
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
