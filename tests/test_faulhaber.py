@@ -62,10 +62,6 @@ class TestBernoulli:
         with pytest.raises(ValueError):
             bernoulli(-1)
 
-    def test_fresh_table_matches_shared(self):
-        table = BernoulliTable()
-        assert [table.get(k) for k in range(25)] == [bernoulli(k) for k in range(25)]
-
     def test_recurrence_matches_the_fraction_oracle(self):
         values = fraction_recurrence(300)
         for n in range(1, 301):
@@ -137,7 +133,8 @@ class TestBernoulli:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(60)
+            assert not t.is_alive()
         assert all(r == results[0] for r in results)
         assert len(table) == 81
         assert results[0] == bernoulli(80)
@@ -154,7 +151,8 @@ class TestBernoulli:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(60)
+            assert not t.is_alive()
         assert all(r == results[0] for r in results)
 
 
@@ -183,14 +181,6 @@ class TestPowerSumPolynomial:
         with pytest.raises(ValueError):
             power_sum_poly_n(0)
 
-    @pytest.mark.parametrize("m", range(1, 13))
-    def test_structure(self, m):
-        poly = power_sum_poly_n(m)
-        assert poly.var == "n"
-        assert poly.degree == m + 1
-        assert poly.coefficient(0) == 0
-        assert poly.coeffs[-1] == Fraction(1, m + 1)
-
     def test_matches_per_coefficient_fractions(self):
         # The reference builds each coefficient of n^(m+1-j) as its own
         # Fraction, (-1)^j * C(m+1, j) * B_j / (m+1).
@@ -217,12 +207,6 @@ class TestPowerSumDirect:
 
 
 class TestPascalIdentity:
-    @pytest.mark.parametrize("m", [2, 4, 7])
-    def test_examples_hold(self, m):
-        report = verify_pascal_identity(m)
-        assert report.holds
-        assert report.lhs.var == "n"
-
     def test_numeric_confirmation_m7(self):
         # Independent of the symbolic route: evaluate both sides of the
         # m = 7 instance numerically at n = 1..10 via literal summation.
@@ -333,10 +317,6 @@ class TestFaulhaberCoefficients:
     )
     def test_known_sequences(self, m, expected):
         assert faulhaber_coefficients(m) == expected
-
-    @pytest.mark.parametrize("m", range(1, 21))
-    def test_head_term(self, m):
-        assert faulhaber_coefficients(m)[0] == Fraction(2**m, m + 1)
 
 
 class TestCrossRepresentation:
