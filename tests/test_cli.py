@@ -467,6 +467,7 @@ class TestConcurrentRuns:
             b.start()
             a.join(10)
             b.join(10)
+            assert not a.is_alive() and not b.is_alive()
             streams = sys.stdout, sys.stderr
         finally:
             sys.stdout, sys.stderr = stdout, stderr
@@ -496,6 +497,7 @@ class TestConcurrentRuns:
                 thread = threading.Thread(target=stray)
                 thread.start()
                 thread.join(10)
+                assert not thread.is_alive()
 
         out, err = _HookedSink(hook), _HookedSink(hook)
         code = powersums.cli.run(argv, out, err)
@@ -551,6 +553,7 @@ class TestConcurrentRuns:
                 thread.start()
             for thread in threads:
                 thread.join(60)
+                assert not thread.is_alive()
         finally:
             sys.setswitchinterval(interval)
         assert sorted(results) == [0, 1, 2, 3]
@@ -591,6 +594,7 @@ for thread in threads:
     thread.start()
 for thread in threads:
     thread.join(60)
+    assert not thread.is_alive()
 print(*results, sep="\\n")
 """
 
