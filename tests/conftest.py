@@ -45,6 +45,7 @@ def cli_subprocess():
             capture_output=True,
             text=True,
             env=_subprocess_env(),
+            timeout=300,
         )
 
     return invoke

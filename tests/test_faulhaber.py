@@ -196,15 +196,6 @@ class TestTForm:
         with pytest.raises(ValueError):
             power_sum_tform(0)
 
-    @pytest.mark.parametrize("m", range(1, 41))
-    def test_structural_invariants(self, m):
-        form = power_sum_tform(m)
-        assert form.p.var == "T"
-        assert form.p.degree == m - 1
-        assert form.p.coeffs[-1] == Fraction(2**m, m + 1)
-        if m >= 2:
-            assert form.p.coeffs[1] == -4 * form.p.coeffs[0]
-
     @pytest.mark.parametrize("m", range(2, 41))
     def test_descending_coefficients_alternate_in_sign(self, m):
         descending = faulhaber_coefficients(m)

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powersums.faulhaber import power_sum_direct
 from powersums.polynomial import (
     Polynomial,
     monomial,
@@ -59,10 +58,6 @@ class TestRepresentation:
 
 
 class TestArithmetic:
-    def test_additive_identity(self):
-        p = Polynomial((3, 0, 7), "n")
-        assert p + Polynomial((), "n") == p
-
     def test_mixed_tags_are_a_domain_error(self):
         with pytest.raises(ValueError):
             Polynomial((1,), "n") + Polynomial((1,), "T")
@@ -80,52 +75,19 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             p * "x"
 
-    @given(polys("n"), polys("n"))
-    def test_add_commutes_and_normalizes(self, a, b):
-        s = a + b
-        assert s == b + a
-        assert not s.coeffs or s.coeffs[-1] != 0
-
-    @given(polys("T"), polys("T"), polys("T"))
-    def test_ring_axioms(self, a, b, c):
-        assert (a + b) + c == a + (b + c)
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-
-    @given(polys("n"), polys("n"), small_rationals)
-    def test_evaluation_homomorphism(self, a, b, x):
-        assert poly_eval(a + b, x) == poly_eval(a, x) + poly_eval(b, x)
-        assert poly_eval(a * b, x) == poly_eval(a, x) * poly_eval(b, x)
-
-    @given(polys("n"), small_rationals)
-    def test_scale_matches_eval(self, p, c):
-        assert poly_eval(poly_scale(c, p), 3) == c * poly_eval(p, 3)
-
-
-class TestScale:
-    def test_scale_by_minus_one(self):
-        p = Polynomial((1, -2), "n")
-        assert poly_scale(-1, p) == -p
-        assert poly_scale(-1, p) + p == Polynomial((), "n")
-
-
-def combination_by_folds(terms, var, divisor=1):
-    """The chain poly_combination replaces: one poly_scale and one + per term."""
-    total = Polynomial((), var)
-    for c, p in terms:
-        total = total + poly_scale(c, p)
-    return poly_scale(Fraction(1, divisor), total)
-
 
 class TestCombination:
     @given(
         st.lists(st.tuples(st.integers(-50, 50), polys("T", 7)), max_size=6),
         st.integers(1, 30),
     )
-    def test_matches_scale_and_add_folds(self, terms, divisor):
-        assert poly_combination(terms, "T", divisor) == combination_by_folds(terms, "T", divisor)
-        assert poly_combination(terms, "T") == combination_by_folds(terms, "T")
+    def test_matches_the_fraction_reference(self, terms, divisor):
+        # ref_add is the tuple-of-Fractions reference of TestAgainstFractionReference.
+        total = ()
+        for c, p in terms:
+            total = ref_add(total, tuple(c * x for x in p.coeffs))
+        assert poly_combination(terms, "T").coeffs == total
+        assert poly_combination(terms, "T", divisor).coeffs == tuple(x / divisor for x in total)
 
     def test_empty_and_zero_coefficients_give_the_zero_polynomial(self):
         p = Polynomial((Fraction(1, 3), 2), "n")
@@ -208,10 +170,6 @@ class TestCompose:
         for k in range(42):
             assert t_to_n(monomial(1, k, "T")) == T_AS_N_POLY**k
 
-    @given(polys("T", 4), small_rationals)
-    def test_compose_eval_compatibility(self, p, x):
-        assert poly_eval(t_to_n(p), x) == poly_eval(p, poly_eval(T_AS_N_POLY, x))
-
     @given(polys("T"))
     def test_linear_coefficient_is_half_the_linear_t_coefficient(self, q):
         # [n^1] Q(T(n)) = q_1 / 2: only T's own linear term reaches n^1.
@@ -221,18 +179,6 @@ class TestCompose:
 
 
 class TestTtoN:
-    def test_degree_six_expansion(self):
-        # (4/3)T^3 - (1/3)T^2 expands to (2n^6+6n^5+5n^4-n^2)/12, which is
-        # the closed form of 1^5+...+n^5; cross-checked by brute force.
-        p = Polynomial((0, 0, Fraction(-1, 3), Fraction(4, 3)), "T")
-        expected = Polynomial(
-            (0, 0, Fraction(-1, 12), 0, Fraction(5, 12), Fraction(1, 2), Fraction(1, 6)), "n"
-        )
-        image = t_to_n(p)
-        assert image == expected
-        for n in range(1, 8):
-            assert poly_eval(image, n) == power_sum_direct(5, n)
-
     def test_wrong_tag_is_a_domain_error(self):
         with pytest.raises(ValueError):
             t_to_n(Polynomial((1, 1), "n"))
@@ -373,16 +319,6 @@ class TestCanonicalForm:
         for r in rebuilt:
             assert r == p
             assert hash(r) == hash(p)
-
-    def test_immutable_and_copyable(self):
-        p = Polynomial((1, Fraction(2, 3)), "n")
-        with pytest.raises(AttributeError):
-            p.var = "T"
-        with pytest.raises(AttributeError):
-            del p.var
-        assert p.coeffs == p.coeffs == (1, Fraction(2, 3))
-        assert copy.deepcopy(p) == p
-        assert pickle.loads(pickle.dumps(p)) == p
 
     def test_reading_a_polynomial_writes_nothing(self):
         # Every slot is a value field set once by _canonical; no read fills
