@@ -36,6 +36,17 @@ def _subprocess_env() -> dict:
 
 
 @pytest.fixture
+def bernoulli_served_max():
+    """The largest Bernoulli index tier-1 serves, past the default int-to-str digit limit.
+
+    B_2064 is the first value past 4300 digits; B_2100's numerator has
+    4419.  ``tests/test_oracles.py`` rechecks every B_n up to this bound,
+    so raising it raises the recheck too.
+    """
+    return 2100
+
+
+@pytest.fixture
 def cli_subprocess():
     """Invoke the CLI as a cold subprocess; returns CompletedProcess."""
 

@@ -706,24 +706,24 @@ class TestProcessEntryPoint:
         assert coefficient == {"num": "1" + "0" * 5000, "den": "1"}
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_bernoulli_past_the_default_digit_limit(self, cli_subprocess, fmt):
-        # B_2064 is the first value past 4300 digits; B_2100's numerator has 4419.
-        proc = cli_subprocess("--format", fmt, "bernoulli", "2100")
+    def test_bernoulli_past_the_default_digit_limit(self, cli_subprocess, bernoulli_served_max, fmt):
+        top = bernoulli_served_max
+        proc = cli_subprocess("--format", fmt, "bernoulli", str(top))
         assert (proc.returncode, proc.stderr) == (0, "")
-        last = bernoulli(2100)
+        last = bernoulli(top)
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit:
             sys.set_int_max_str_digits(0)  # to render the expected value
         try:
             if fmt == "text":
                 lines = proc.stdout.splitlines()
-                assert len(lines) == 2101
-                assert lines[-1] == f"2100\t{last}"
+                assert len(lines) == top + 1
+                assert lines[-1] == f"{top}\t{last}"
             else:
                 values = json.loads(proc.stdout)["values"]
-                assert len(values) == 2101
+                assert len(values) == top + 1
                 expected = {"num": str(last.numerator), "den": str(last.denominator)}
-                assert values[-1] == {"index": 2100, "value": expected}
+                assert values[-1] == {"index": top, "value": expected}
         finally:
             if limit:
                 sys.set_int_max_str_digits(limit)

@@ -196,13 +196,6 @@ class TestTForm:
         with pytest.raises(ValueError):
             power_sum_tform(0)
 
-    @pytest.mark.parametrize("m", range(2, 41))
-    def test_descending_coefficients_alternate_in_sign(self, m):
-        descending = faulhaber_coefficients(m)
-        assert descending[0] > 0
-        for left, right in zip(descending, descending[1:]):
-            assert left * right < 0
-
     @pytest.mark.parametrize("m", range(1, 41))
     def test_numeric_against_direct_sums(self, m):
         # n = 1..m+1 gives m+1 distinct nonzero T, more than the m

@@ -1,10 +1,12 @@
-"""Cross-checks against independent oracles: sympy, and Jacobi's recurrence for the T-forms.
+"""Cross-checks against independent oracles: sympy, Jacobi's recurrence for the T-forms, and the Bernoulli recurrence mod p.
 
 The sympy checks are skipped when sympy is not installed.  sympy >= 1.12
 uses B_1 = +1/2, this package B_1 = -1/2, so B_1 is negated before
-comparing.  Jacobi's recurrence needs nothing beyond ``fractions``.
+comparing.  Jacobi's recurrence needs nothing beyond ``fractions``, and
+the recurrence mod p nothing beyond ints.
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -81,3 +83,15 @@ def test_jacobi_recurrence_matches_the_ladder():
     for m, a in enumerate(jacobi_odd_sums(200), start=1):
         assert a[1] == 0, m
         assert tuple(a[j + 2] * 2 ** (j + 2) for j in range(m)) == power_sum_tform(m).p.coeffs, m
+
+
+def test_every_served_bernoulli_number_satisfies_the_recurrence_mod_p(bernoulli_served_max):
+    # sum_{k<=n} C(n+1, k) B_k = 0 for n >= 1, in Z/p with a rolling row of
+    # C(n+1, k) mod p.  p > bernoulli_served_max + 1, so every denominator,
+    # a product of primes <= k + 1 (von Staudt-Clausen), is invertible.
+    p = 2**61 - 1
+    residues = [b.numerator * pow(b.denominator, -1, p) % p for b in map(bernoulli, range(bernoulli_served_max + 1))]
+    row = [1, 1]
+    for n in range(1, bernoulli_served_max + 1):
+        row = [1, *((a + b) % p for a, b in zip(row, row[1:])), 1]
+        assert sum(map(operator.mul, row, residues[: n + 1])) % p == 0, n

@@ -1,10 +1,13 @@
-"""The pytest configuration in pyproject.toml: a failing test is reported, never crashes the run."""
+"""The project configuration in pyproject.toml: a failing test is reported, and every source parses at the Python floor."""
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 FAILING_PROPERTY = """\
 from hypothesis import given, strategies as st
@@ -33,3 +36,14 @@ def test_a_failing_property_reports_its_falsifying_example(tmp_path):
     assert proc.returncode == 1, output
     assert "Falsifying example" in output
     assert "INTERNALERROR" not in output
+
+
+def test_every_source_parses_at_the_required_python_floor():
+    # A regex, not tomllib, which the oldest supported Python lacks.
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', PYPROJECT.read_text(), re.MULTILINE)
+    assert floor, "requires-python is not a plain lower bound"
+    version = (int(floor[1]), int(floor[2]))
+    sources = [path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")]
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)
