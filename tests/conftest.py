@@ -47,22 +47,6 @@ def bernoulli_served_max():
 
 
 @pytest.fixture
-def cli_subprocess():
-    """Invoke the CLI as a cold subprocess; returns CompletedProcess."""
-
-    def invoke(*args: str):
-        return subprocess.run(
-            [sys.executable, "-m", "powersums", *args],
-            capture_output=True,
-            text=True,
-            env=_subprocess_env(),
-            timeout=300,
-        )
-
-    return invoke
-
-
-@pytest.fixture
 def redirected():
     """Run ``python *args`` with its streams redirected by the shell, as in ``>&-``; returns CompletedProcess.
 

@@ -63,14 +63,15 @@ def test_criterion_2_displayed_polynomials():
         assert power_sum_tform(3).p == bracket7
 
 
-def test_criterion_3_ladder_suite(cli_subprocess):
+def test_criterion_3_ladder_suite(popen):
     with criterion(3, "ladder identities m=2..6 and pascal sweep to 50"):
         for m in range(2, 7):
             assert verify_pascal_identity(m).holds, f"displayed identity m={m}"
         start = time.monotonic()
-        proc = cli_subprocess("verify", "pascal", "--max", "50")
+        proc = popen("-m", "powersums", "verify", "pascal", "--max", "50")
+        out, _ = proc.communicate(timeout=300)
         elapsed = time.monotonic() - start
-        lines = proc.stdout.splitlines()
+        lines = out.decode().splitlines()
         assert proc.returncode == 0
         assert lines[:49] == [f"PASS pascal m={m}" for m in range(2, 51)]
         assert lines[49] == "pascal: 49/49 passed"
@@ -87,12 +88,13 @@ def test_criterion_4_telescoping_suite():
         assert special.holds
 
 
-def test_criterion_5_cross_representation(cli_subprocess):
+def test_criterion_5_cross_representation(popen):
     with criterion(5, "T-route equals Bernoulli route for m<=40"):
         start = time.monotonic()
-        proc = cli_subprocess("verify", "faulhaber", "--max", "40")
+        proc = popen("-m", "powersums", "verify", "faulhaber", "--max", "40")
+        out, _ = proc.communicate(timeout=300)
         elapsed = time.monotonic() - start
-        lines = proc.stdout.splitlines()
+        lines = out.decode().splitlines()
         assert proc.returncode == 0
         assert lines[:40] == [f"PASS faulhaber m={m}" for m in range(1, 41)]
         assert lines[40] == "faulhaber: 40/40 passed"
