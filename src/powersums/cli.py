@@ -36,13 +36,12 @@ callers use ``run``.
 pascal, faulhaber, odd-bernoulli and telescoping it holds the default
 bounds, the lowest allowed index and the check that returns whether one
 instance holds.  It lives beside the parser that reads its names and
-defaults.  ``Suite.sweep`` runs the check on every index from the lowest
-one up to its bound.  ``verify`` writes each instance's label, the one
-place labels are made: the suite name, then ``m=<m>``, then ``N=<n>``
-for telescoping.  Each check reads its function from
-the ``powersums`` namespace at every call, so a patched or wrapped
-function in its home module is the one that runs.  ``verify`` is the one
-front end that runs suites from it.
+defaults.  ``verify`` is the one front end that runs suites from it: it
+runs the check on every index from the lowest one up to its bound, and
+writes each instance's label, the one place labels are made: the suite
+name, then ``m=<m>``, then ``N=<n>`` for telescoping.  Each check reads
+its function from the ``powersums`` namespace at every call, so a
+patched or wrapped function in its home module is the one that runs.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ import errno
 import gc
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from io import TextIOBase
 from itertools import product
 
@@ -63,23 +62,12 @@ class Suite(powersums._Record):
     """One verification suite of the registry.
 
     ``defaults`` maps each bound (``max``, or ``max_m`` and ``max_n``) to
-    its default, in the order ``check`` and ``sweep`` take them; ``first``
-    is the lowest allowed index.  ``check(*indices)`` runs one instance
-    and returns whether it holds.
+    its default, in the order ``check`` takes the indices; ``first`` is
+    the lowest allowed index.  ``check(*indices)`` runs one instance and
+    returns whether it holds.
     """
 
     __slots__ = ("defaults", "first", "check")
-
-    def __init__(self, defaults: dict[str, int], first: int, check: Callable[..., bool]) -> None:
-        super().__init__(defaults, first, check)
-
-    def sweep(self, *bounds: int) -> Iterator[tuple[tuple[int, ...], bool]]:
-        """A generator of ``(indices, check(*indices))``, every index from ``first`` to its bound.
-
-        The first index varies slowest, as in nested loops.
-        """
-        ranges = [range(self.first, top + 1) for top in bounds]
-        return ((indices, self.check(*indices)) for indices in product(*ranges))
 
 
 SUITES: dict[str, Suite] = {
@@ -250,9 +238,12 @@ def _cmd_coeffs(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Result:
-    # Each label is the suite name, then m=<m>, then N=<n> for telescoping.
-    sweep = SUITES[args.suite].sweep(*args.bounds.values())
-    results = [(" ".join([args.suite, *(f"{k}={i}" for k, i in zip("mN", indices))]), ok) for indices, ok in sweep]
+    # Every index from the suite's first to its bound; the first index
+    # varies slowest, as in nested loops.  Each label is the suite name,
+    # then m=<m>, then N=<n> for telescoping.
+    suite = SUITES[args.suite]
+    sweep = product(*[range(suite.first, top + 1) for top in args.bounds.values()])
+    results = [(" ".join([args.suite, *(f"{k}={i}" for k, i in zip("mN", ix))]), suite.check(*ix)) for ix in sweep]
     passed = sum(1 for _, ok in results if ok)
     total = len(results)
     lines = [f"{'PASS' if ok else 'FAIL'} {label}" for label, ok in results]

@@ -32,35 +32,6 @@ BENCHMARK_GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golde
 # Exact `--format json` stdout: key order, indentation and the rational and
 # polynomial records are all part of the output contract.
 JSON_GOLDEN = {
-    ("bernoulli", "2"): """\
-{
-  "command": "bernoulli",
-  "max_index": 2,
-  "values": [
-    {
-      "index": 0,
-      "value": {
-        "num": "1",
-        "den": "1"
-      }
-    },
-    {
-      "index": 1,
-      "value": {
-        "num": "-1",
-        "den": "2"
-      }
-    },
-    {
-      "index": 2,
-      "value": {
-        "num": "1",
-        "den": "6"
-      }
-    }
-  ]
-}
-""",
     ("powersum", "3"): """\
 {
   "command": "powersum",
@@ -113,77 +84,6 @@ JSON_GOLDEN = {
     ]
   },
   "t_power": 2
-}
-""",
-    ("tform", "2"): """\
-{
-  "command": "tform",
-  "index": 2,
-  "exponent": 5,
-  "p": {
-    "var": "T",
-    "coefficients": [
-      {
-        "num": "-1",
-        "den": "3"
-      },
-      {
-        "num": "4",
-        "den": "3"
-      }
-    ]
-  },
-  "t_power": 2
-}
-""",
-    ("coeffs", "2"): """\
-{
-  "command": "coeffs",
-  "index": 2,
-  "order": "descending",
-  "coefficients": [
-    {
-      "num": "4",
-      "den": "3"
-    },
-    {
-      "num": "-1",
-      "den": "3"
-    }
-  ]
-}
-""",
-    ("verify", "faulhaber", "--max", "1"): """\
-{
-  "command": "verify",
-  "suite": "faulhaber",
-  "max": 1,
-  "results": [
-    {
-      "label": "faulhaber m=1",
-      "holds": true
-    }
-  ],
-  "passed": 1,
-  "total": 1,
-  "all_pass": true
-}
-""",
-    ("verify", "telescoping", "--max-m", "1", "--max-n", "1"): """\
-{
-  "command": "verify",
-  "suite": "telescoping",
-  "max_m": 1,
-  "max_n": 1,
-  "results": [
-    {
-      "label": "telescoping m=1 N=1",
-      "holds": true
-    }
-  ],
-  "passed": 1,
-  "total": 1,
-  "all_pass": true
 }
 """,
     ("eval", "3", "2"): """\
@@ -272,17 +172,17 @@ def test_small_sweep_of_every_suite(cli, monkeypatch, holds, name):
 
     lines = [f"{verdict} {label}" for label in labels] + [f"{name}: {passed}/{len(labels)} passed"]
     assert cli("verify", name, *options) == (code, "".join(line + "\n" for line in lines), "")
-    json_code, out, err = cli("verify", name, *options, "--format", "json")
-    assert (json_code, err) == (code, "")
-    assert list(json.loads(out).items()) == [
-        ("command", "verify"),
-        ("suite", name),
-        *bounds.items(),
-        ("results", [{"label": label, "holds": holds} for label in labels]),
-        ("passed", passed),
-        ("total", len(labels)),
-        ("all_pass", holds),
-    ]
+    # The JSON bytes themselves: a parsed comparison would take 1 for true.
+    payload = {
+        "command": "verify",
+        "suite": name,
+        **bounds,
+        "results": [{"label": label, "holds": holds} for label in labels],
+        "passed": passed,
+        "total": len(labels),
+        "all_pass": holds,
+    }
+    assert cli("verify", name, *options, "--format", "json") == (code, json.dumps(payload, indent=2) + "\n", "")
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
