@@ -100,8 +100,8 @@ class _Parser(argparse.ArgumentParser):
         raise _ParserExit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
-def _uint(minimum: int):
-    """argparse type for a nonnegative decimal integer with a lower bound.
+def _uint(minimum: int, maximum: int | None = None):
+    """argparse type for a nonnegative decimal integer with a lower bound and an optional upper one.
 
     Only ASCII digits 0-9: no sign, ``_`` or space, which ``int`` takes,
     and no digits of other scripts, which ``str.isdecimal`` takes.
@@ -114,6 +114,8 @@ def _uint(minimum: int):
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
@@ -127,6 +129,14 @@ def _rational(value) -> dict[str, str]:
 def _polynomial(poly) -> dict[str, object]:
     """The one JSON record of a polynomial: its tag and its coefficients ascending by degree."""
     return {"var": poly.var, "coefficients": [_rational(c) for c in poly.coeffs]}
+
+
+# The largest T-form index M that ``tform``, ``coeffs`` and ``powersum
+# --basis t`` (exponent 2M + 1) serve, so that every request finishes: a
+# cold ``tform 300`` builds every lower form by ladder elimination in a
+# few seconds, the cost grows as M^3, and a huge M exhausts memory on
+# 2**M.  Tier-1 pins every form up to it against Jacobi's recurrence.
+_FORM_MAX = 300
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,10 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="n: polynomial in n; t: factored (P) * T^2, odd M >= 3 only")
 
     p_tform = add("tform", "print the factored T-basis form of S_{2M+1} as (P) * T^2", _cmd_tform)
-    p_tform.add_argument("index", type=_uint(1), metavar="M", help="form index, M >= 1 (exponent 2M+1)")
+    p_tform.add_argument("index", type=_uint(1, _FORM_MAX), metavar="M", help="form index, M >= 1 (exponent 2M+1)")
 
     p_coeffs = add("coeffs", "print the T-form coefficients of S_{2M+1}, highest degree first", _cmd_coeffs)
-    p_coeffs.add_argument("index", type=_uint(1), metavar="M", help="form index, M >= 1")
+    p_coeffs.add_argument("index", type=_uint(1, _FORM_MAX), metavar="M", help="form index, M >= 1")
 
     p_verify = add("verify", "run an identity suite and print one PASS/FAIL line per instance", _cmd_verify)
     pascal, telescoping = SUITES["pascal"], SUITES["telescoping"]
@@ -188,6 +198,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     if args.command == "powersum" and args.basis == "t":
         if args.exponent < 3 or args.exponent % 2 == 0:
             parser.error("--basis t requires an odd exponent M >= 3")
+        if args.exponent > 2 * _FORM_MAX + 1:
+            parser.error(f"--basis t requires M <= {2 * _FORM_MAX + 1}")
     if args.command == "verify":
         args.bounds = _suite_bounds(parser, args)
 

@@ -178,15 +178,12 @@ class FaulhaberForm(_Record):
 
 
 class VerificationReport(_Record):
-    """Both sides of a symbolic identity check, as canonical polynomials.
+    """``VerificationReport(lhs, rhs)``: both sides of a symbolic identity check, as canonical polynomials.
 
     It names no instance: the CLI's ``verify`` writes each instance's label.
     """
 
     __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: Polynomial, rhs: Polynomial) -> None:
-        super().__init__(lhs, rhs)
 
     @property
     def holds(self) -> bool:

@@ -217,16 +217,18 @@ def poly_scale(c: int | Rational, p: Polynomial) -> Polynomial:
 
 
 def poly_eval(p: Polynomial, x: int | Rational) -> Rational:
-    """Exact value of p at x, by Horner's scheme on the integer numerators."""
-    x = as_rational(x)
-    a, b = x.numerator, x.denominator
-    # Homogeneous Horner: acc = sum of nums[k] * a^k * b^(d-k), and scale
-    # ends as b^(d+1) for degree d, so p(x) = acc / (den * b^d).
-    acc, scale = 0, 1
+    """Exact value of p at x, by Horner's scheme on the integer numerators, then one division.
+
+    An int x stays an int, so the loop is int arithmetic alone; any other
+    x goes through ``as_rational`` (a float is a TypeError) and the loop
+    runs in Fractions.
+    """
+    if not isinstance(x, int):
+        x = as_rational(x)
+    acc = 0
     for c in reversed(p._nums):
-        acc = acc * a + c * scale
-        scale *= b
-    return Rational(acc * b, p._den * scale)
+        acc = acc * x + c
+    return Rational(acc, p._den)
 
 
 def t_to_n(p: Polynomial) -> Polynomial:

@@ -195,6 +195,16 @@ def test_bounds_default_to_the_registry(cli, monkeypatch, name):
     assert list(json.loads(out).items())[2:-4] == list(SUITES[name].defaults.items())
 
 
+# The T-form commands: each argv, the largest index it serves, and the
+# step to the next index of the right parity.  That each limit itself is
+# served is tested in tests/test_oracles.py, beside the pin of every form.
+FORM_LIMITS = {
+    "tform": ("tform {}", 300, 1),
+    "coeffs": ("coeffs {}", 300, 1),
+    "powersum": ("powersum {} --basis t", 601, 2),
+}
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, cli):
         code, out, err = cli("frobnicate")
@@ -232,6 +242,17 @@ class TestExitCodes:
 
     def test_one_exponent_t_basis_rejected(self, cli):
         assert cli("powersum", "1", "--basis", "t")[0] == 2
+
+    @pytest.mark.parametrize("argv, limit, step", FORM_LIMITS.values(), ids=FORM_LIMITS)
+    def test_past_the_largest_form_is_refused_before_computing(self, cli, monkeypatch, argv, limit, step):
+        def refuse(m):
+            raise AssertionError(f"built the T-form m={m} past the envelope")
+
+        monkeypatch.setattr(powersums.faulhaber, "power_sum_tform", refuse)
+        for index in (limit + step, 10**20 + 1):
+            code, out, err = cli(*argv.format(index).split())
+            assert (code, out) == (2, ""), index
+            assert f"M <= {limit}" in err or f"at most {limit}," in err, index
 
     def test_verify_flag_mismatches(self, cli):
         assert cli("verify", "telescoping", "--max", "5")[0] == 2

@@ -1,4 +1,8 @@
-"""Cross-checks against independent oracles: sympy, Jacobi's recurrence for the T-forms, and the Bernoulli recurrence mod p.
+"""Cross-checks against independent oracles: sympy, Jacobi's recurrence for the T-forms, and two for the Bernoulli numbers.
+
+The Bernoulli numbers are rechecked by their recurrence mod p and by
+von Staudt-Clausen, which fixes each even denominator exactly.  Jacobi's
+recurrence pins every T-form the CLI serves, up to ``cli._FORM_MAX``.
 
 The sympy checks are skipped when sympy is not installed.  sympy >= 1.12
 uses B_1 = +1/2, this package B_1 = -1/2, so B_1 is negated before
@@ -8,9 +12,11 @@ the recurrence mod p nothing beyond ints.
 
 import operator
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
+from powersums.cli import _FORM_MAX
 from powersums.faulhaber import bernoulli, power_sum_poly_n, power_sum_tform
 from powersums.polynomial import monomial, t_to_n
 
@@ -78,11 +84,20 @@ def jacobi_odd_sums(top: int):
 
 
 def test_jacobi_recurrence_matches_the_ladder():
-    # a_1 = 0 derives the T^2 factor that the ladder presupposes; then
-    # P_m's coefficient of T^j is a_{j+2} * 2^(j+2), since u = 2T.
-    for m, a in enumerate(jacobi_odd_sums(200), start=1):
+    # Every form the CLI serves, m <= cli._FORM_MAX.  a_1 = 0 derives the
+    # T^2 factor that the ladder presupposes; then P_m's coefficient of T^j
+    # is a_{j+2} * 2^(j+2), since u = 2T.
+    for m, a in enumerate(jacobi_odd_sums(_FORM_MAX), start=1):
         assert a[1] == 0, m
         assert tuple(a[j + 2] * 2 ** (j + 2) for j in range(m)) == power_sum_tform(m).p.coeffs, m
+
+
+@pytest.mark.parametrize("argv", ["tform 300", "coeffs 300", "powersum 601 --basis t"])
+def test_the_cli_serves_the_largest_pinned_form(cli, argv):
+    # Run after the pin above, these requests reuse the forms it built.
+    code, out, err = cli(*argv.split())
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1
 
 
 def test_every_served_bernoulli_number_satisfies_the_recurrence_mod_p(bernoulli_served_max):
@@ -95,3 +110,13 @@ def test_every_served_bernoulli_number_satisfies_the_recurrence_mod_p(bernoulli_
     for n in range(1, bernoulli_served_max + 1):
         row = [1, *((a + b) % p for a, b in zip(row, row[1:])), 1]
         assert sum(map(operator.mul, row, residues[: n + 1])) % p == 0, n
+
+
+def test_every_served_even_bernoulli_number_satisfies_von_staudt_clausen(bernoulli_served_max):
+    # von Staudt (J. reine angew. Math. 21, 1840) and Clausen (Astron.
+    # Nachr. 17, 1840): for even n >= 2, B_n + sum of 1/p over the primes p
+    # with (p - 1) | n is an integer.  So every served even denominator is
+    # checked exactly, and by no recurrence.
+    primes = [p for p in range(2, bernoulli_served_max + 2) if all(p % q for q in range(2, isqrt(p) + 1))]
+    for n in range(2, bernoulli_served_max + 1, 2):
+        assert (bernoulli(n) + sum(Fraction(1, p) for p in primes if n % (p - 1) == 0)).denominator == 1, n

@@ -162,6 +162,13 @@ class TestEval:
     def test_zero_polynomial(self):
         assert poly_eval(Polynomial((), "n"), Fraction(7, 3)) == 0
 
+    @pytest.mark.parametrize("coeffs", [(), (1, Fraction(1, 2))], ids=["zero", "linear"])
+    def test_float_point_is_refused(self, coeffs):
+        # On the zero polynomial the loop never runs: only the input guard refuses it.
+        for x in (0.5, 2.0):
+            with pytest.raises(TypeError):
+                poly_eval(Polynomial(coeffs, "n"), x)
+
 
 class TestCompose:
     """t_to_n is composition with the inner polynomial T_AS_N_POLY."""
@@ -277,7 +284,8 @@ class TestAgainstFractionReference:
         assert (p * q).coeffs == ref_mul(a, b)
         assert (p**k).coeffs == ref_pow(a, k)
         assert poly_scale(c, p).coeffs == ref_trim(c * x for x in a)
-        assert poly_eval(p, c) == ref_eval(a, c)
+        for x in (c, k - 2):  # a Fraction point, then an int one
+            assert poly_eval(p, x) == ref_eval(a, x)
         assert t_to_n(p).coeffs == ref_t_to_n(a)
         for i in range(len(a) + 2):
             assert p.coefficient(i) == (a[i] if i < len(a) else 0)

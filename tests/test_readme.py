@@ -27,7 +27,10 @@ def test_the_cli_examples_print_what_the_readme_shows(cli):
 
 # The Library lines whose comment starts with the Python literal of the
 # value the line computes; any text after it follows ", " or ": ".
-LITERAL_LINES = ("bernoulli(12)", "str(power_sum_poly_n(3))", "str(form)", "check_odd_bernoulli(3)")
+LITERAL_LINES = (
+    "bernoulli(12)", "str(power_sum_poly_n(3))", "str(form)", "poly_eval(form.p, 6)", 'poly_eval(form.p, "1/2")',
+    "check_odd_bernoulli(3)",
+)
 
 
 def test_the_library_comments_show_the_values():
