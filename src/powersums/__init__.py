@@ -35,7 +35,6 @@ _HOME = {
     "as_rational": "exact_arith",
     "bernoulli": "faulhaber",
     "check_odd_bernoulli": "faulhaber",
-    "faulhaber_coefficients": "faulhaber",
     "infer_odd_bernoulli": "faulhaber",
     "monomial": "polynomial",
     "poly_combination": "polynomial",

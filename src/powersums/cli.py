@@ -105,13 +105,18 @@ def _uint(minimum: int, maximum: int | None = None):
 
     Only ASCII digits 0-9: no sign, ``_`` or space, which ``int`` takes,
     and no digits of other scripts, which ``str.isdecimal`` takes.
-    Leading zeros read as decimal.
+    Leading zeros read as decimal.  A value with more digits than the
+    maximum is refused by its digit count, before ``int`` converts it, so
+    a huge argument costs nothing and its refusal does not echo it.
     """
 
     def parse(text: str) -> int:
         if not (text.isascii() and text.isdecimal()):
             raise argparse.ArgumentTypeError(f"expected a nonnegative decimal integer, got {text!r}")
-        value = int(text)
+        digits = text.lstrip("0") or "0"
+        if maximum is not None and len(digits) > len(str(maximum)):
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got a {len(digits)}-digit number")
+        value = int(digits)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         if maximum is not None and value > maximum:
@@ -131,12 +136,20 @@ def _polynomial(poly) -> dict[str, object]:
     return {"var": poly.var, "coefficients": [_rational(c) for c in poly.coeffs]}
 
 
-# The largest T-form index M that ``tform``, ``coeffs`` and ``powersum
-# --basis t`` (exponent 2M + 1) serve, so that every request finishes: a
-# cold ``tform 300`` builds every lower form by ladder elimination in a
-# few seconds, the cost grows as M^3, and a huge M exhausts memory on
-# 2**M.  Tier-1 pins every form up to it against Jacobi's recurrence.
+# The input envelope: the largest value of each bounded argument, so that
+# every request finishes in seconds (cold, 2 vCPU) and a larger one is a
+# usage error before anything is computed.  ``_FORM_MAX`` is the largest
+# T-form index M that ``tform``, ``coeffs`` and ``powersum --basis t``
+# (exponent 2M + 1) serve, and the largest ``verify --max``: a cold
+# ``tform 300`` builds every lower form by ladder elimination, the cost
+# grows as M^3, and a huge M exhausts memory on 2**M.  Tier-1 pins every
+# form up to it against Jacobi's recurrence.  ``_BERNOULLI_MAX`` is the
+# largest K of ``bernoulli`` and M of ``powersum``, which both read
+# B_0..B_K; the table's cost grows about as K^3.  Tier-1 rechecks every
+# B_n up to it.  ``verify telescoping`` takes ``--max-m`` up to 50 and
+# ``--max-n`` up to 200.
 _FORM_MAX = 300
+_BERNOULLI_MAX = 3000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,10 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
         return command
 
     p_bernoulli = add("bernoulli", "print B_0..B_K, one 'index<TAB>value' line per number", _cmd_bernoulli)
-    p_bernoulli.add_argument("k", type=_uint(0), metavar="K", help="largest index, K >= 0")
+    p_bernoulli.add_argument("k", type=_uint(0, _BERNOULLI_MAX), metavar="K", help="largest index, K >= 0")
 
     p_powersum = add("powersum", "print the power-sum polynomial S_M", _cmd_powersum)
-    p_powersum.add_argument("exponent", type=_uint(1), metavar="M", help="exponent, M >= 1")
+    p_powersum.add_argument("exponent", type=_uint(1, _BERNOULLI_MAX), metavar="M", help="exponent, M >= 1")
     p_powersum.add_argument("--basis", choices=("n", "t"), default="n",
                             help="n: polynomial in n; t: factored (P) * T^2, odd M >= 3 only")
 
@@ -178,12 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = add("verify", "run an identity suite and print one PASS/FAIL line per instance", _cmd_verify)
     pascal, telescoping = SUITES["pascal"], SUITES["telescoping"]
     p_verify.add_argument("suite", choices=tuple(SUITES))
-    p_verify.add_argument("--max", type=_uint(1), default=None, metavar="M",
+    p_verify.add_argument("--max", type=_uint(1, _FORM_MAX), default=None, metavar="M",
                           help=f"largest index m (default {pascal.defaults['max']}; "
                                f"pascal starts at m={pascal.first})")
-    p_verify.add_argument("--max-m", type=_uint(1), default=None, metavar="M",
+    p_verify.add_argument("--max-m", type=_uint(1, 50), default=None, metavar="M",
                           help=f"telescoping only: largest exponent m (default {telescoping.defaults['max_m']})")
-    p_verify.add_argument("--max-n", type=_uint(1), default=None, metavar="N",
+    p_verify.add_argument("--max-n", type=_uint(1, 200), default=None, metavar="N",
                           help=f"telescoping only: largest upper limit N (default {telescoping.defaults['max_n']})")
 
     p_eval = add("eval", "evaluate S_M at N both symbolically and by direct summation", _cmd_eval)
@@ -243,7 +256,7 @@ def _cmd_tform(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> _Result:
-    coeffs = powersums.faulhaber_coefficients(args.index)
+    coeffs = powersums.power_sum_tform(args.index).p.coeffs[::-1]
     return 0, lambda: {
         "index": args.index, "order": "descending", "coefficients": [_rational(c) for c in coeffs],
     }, (" ".join(map(str, cs)) for cs in [coeffs])

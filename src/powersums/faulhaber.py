@@ -241,11 +241,6 @@ def power_sum_tform(m: int) -> FaulhaberForm:
     return FaulhaberForm(m, poly_combination(terms, "T", m + 1))
 
 
-def faulhaber_coefficients(m: int) -> list[Rational]:
-    """Coefficients of power_sum_tform(m).p in descending degree order."""
-    return list(reversed(power_sum_tform(m).p.coeffs))
-
-
 def _t_route(m: int) -> Polynomial:
     """S_{2m+1} by the T-route, P_m(T) * T^2, still in T."""
     return monomial(1, 2, "T") * power_sum_tform(m).p

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from powersums.cli import run
+from powersums.cli import _BERNOULLI_MAX, run
 
 # Exact rational arithmetic makes some examples slow out of proportion to
 # their value count; wall-clock deadlines only add flakiness here.
@@ -37,13 +37,13 @@ def _subprocess_env() -> dict:
 
 @pytest.fixture
 def bernoulli_served_max():
-    """The largest Bernoulli index tier-1 serves, past the default int-to-str digit limit.
+    """The largest Bernoulli index the CLI serves, ``cli._BERNOULLI_MAX``, past the default int-to-str digit limit.
 
-    B_2064 is the first value past 4300 digits; B_2100's numerator has
-    4419.  ``tests/test_oracles.py`` rechecks every B_n up to this bound,
-    so raising it raises the recheck too.
+    B_2064 is the first value past 4300 digits.  ``tests/test_oracles.py``
+    rechecks every B_n up to this bound, so raising the limit raises the
+    recheck too.
     """
-    return 2100
+    return _BERNOULLI_MAX
 
 
 @pytest.fixture

@@ -195,13 +195,21 @@ def test_bounds_default_to_the_registry(cli, monkeypatch, name):
     assert list(json.loads(out).items())[2:-4] == list(SUITES[name].defaults.items())
 
 
-# The T-form commands: each argv, the largest index it serves, and the
-# step to the next index of the right parity.  That each limit itself is
-# served is tested in tests/test_oracles.py, beside the pin of every form.
-FORM_LIMITS = {
-    "tform": ("tform {}", 300, 1),
-    "coeffs": ("coeffs {}", 300, 1),
-    "powersum": ("powersum {} --basis t", 601, 2),
+# Every bounded argument: its argv, its largest value, the step to the
+# next value it reads, the argument's own maximum (which refuses a value
+# with more digits than it has before converting it), and the faulhaber
+# function that a request computes.  That the T-form limits are served for
+# real is tested in tests/test_oracles.py, beside the pin of every form,
+# and ``bernoulli`` at its limit by TestProcessEntryPoint.
+LIMITS = {
+    "bernoulli": ("bernoulli {}", 3000, 1, 3000, "bernoulli"),
+    "powersum": ("powersum {}", 3000, 1, 3000, "power_sum_poly_n"),
+    "powersum-t": ("powersum {} --basis t", 601, 2, 3000, "power_sum_tform"),
+    "tform": ("tform {}", 300, 1, 300, "power_sum_tform"),
+    "coeffs": ("coeffs {}", 300, 1, 300, "power_sum_tform"),
+    "verify-max": ("verify pascal --max {}", 300, 1, 300, "verify_pascal_identity"),
+    "verify-max-m": ("verify telescoping --max-m {}", 50, 1, 50, "telescoping_check"),
+    "verify-max-n": ("verify telescoping --max-n {}", 200, 1, 200, "telescoping_check"),
 }
 
 
@@ -228,6 +236,9 @@ class TestExitCodes:
 
     def test_leading_zeros_are_decimal(self, cli):
         assert cli("bernoulli", "007") == cli("bernoulli", "7")
+        # More characters than the interpreter's 4300-digit limit, and more
+        # than the maximum has digits, but the value is 7.
+        assert cli("tform", "0" * 5000 + "7") == cli("tform", "7")
 
     def test_out_of_range_integers(self, cli):
         assert cli("powersum", "0")[0] == 2
@@ -243,16 +254,29 @@ class TestExitCodes:
     def test_one_exponent_t_basis_rejected(self, cli):
         assert cli("powersum", "1", "--basis", "t")[0] == 2
 
-    @pytest.mark.parametrize("argv, limit, step", FORM_LIMITS.values(), ids=FORM_LIMITS)
-    def test_past_the_largest_form_is_refused_before_computing(self, cli, monkeypatch, argv, limit, step):
-        def refuse(m):
-            raise AssertionError(f"built the T-form m={m} past the envelope")
+    @pytest.mark.parametrize("argv, limit, step, cap, computes", LIMITS.values(), ids=LIMITS)
+    def test_past_the_limit_is_refused_before_computing(self, cli, monkeypatch, argv, limit, step, cap, computes):
+        # One cheap stand-in serves every command's text: a passing report,
+        # a form without coefficients, or a value.
+        calls = []
 
-        monkeypatch.setattr(powersums.faulhaber, "power_sum_tform", refuse)
-        for index in (limit + step, 10**20 + 1):
-            code, out, err = cli(*argv.format(index).split())
-            assert (code, out) == (2, ""), index
-            assert f"M <= {limit}" in err or f"at most {limit}," in err, index
+        def stand_in(*indices):
+            calls.append(indices)
+            return SimpleNamespace(holds=True, m=1, p=SimpleNamespace(coeffs=()))
+
+        monkeypatch.setattr(powersums.faulhaber, computes, stand_in)
+        assert cli(*argv.format(limit).split())[0] == 0
+        assert calls
+        calls.clear()
+        code, out, err = cli(*argv.format(limit + step).split())
+        assert (code, out, calls) == (2, "", [])
+        assert f"M <= {limit}\n" in err or f"at most {limit}, got {limit + step}\n" in err
+        # A longer value is refused by its digit count, unconverted and not echoed.
+        for text in (str(10**20 + 1), "9" * 5000, "9" * 120000):
+            code, out, err = cli(*argv.format(text).split())
+            assert (code, out, calls) == (2, "", []), len(text)
+            assert err.endswith(f": must be at most {cap}, got a {len(text)}-digit number\n"), len(text)
+            assert text not in err
 
     def test_verify_flag_mismatches(self, cli):
         assert cli("verify", "telescoping", "--max", "5")[0] == 2
@@ -621,9 +645,9 @@ class TestProcessEntryPoint:
     def test_bernoulli_past_the_default_digit_limit(self, popen, bernoulli_served_max, fmt):
         top = bernoulli_served_max
         proc = popen("-m", "powersums", "--format", fmt, "bernoulli", str(top))
+        last = bernoulli(top)  # built here while the child builds its own table
         out, err = proc.communicate(timeout=300)
         assert (proc.returncode, err) == (0, b"")
-        last = bernoulli(top)
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit:
             sys.set_int_max_str_digits(0)  # to render the expected value

@@ -20,7 +20,6 @@ from powersums.faulhaber import (
     bernoulli,
     bernoulli_from_recurrence,
     check_odd_bernoulli,
-    faulhaber_coefficients,
     infer_odd_bernoulli,
     power_sum_direct,
     power_sum_poly_n,
@@ -189,7 +188,6 @@ class TestTForm:
         power_sum_tform.cache_clear()
         for m in range(1, 41):
             power_sum_tform(m)
-            faulhaber_coefficients(m)
             assert infer_odd_bernoulli(m) == 0
 
     def test_bad_shape_is_an_invariant_violation(self):
@@ -212,19 +210,6 @@ class TestTForm:
         assert repr(form) == (
             "FaulhaberForm(m=3, p=Polynomial(coeffs=(Fraction(1, 3), Fraction(-4, 3), Fraction(2, 1)), var='T'))"
         )
-
-
-class TestFaulhaberCoefficients:
-    @pytest.mark.parametrize(
-        "m, expected",
-        [
-            (1, [Fraction(1)]),
-            (2, [Fraction(4, 3), Fraction(-1, 3)]),
-            (3, [Fraction(2), Fraction(-4, 3), Fraction(1, 3)]),
-        ],
-    )
-    def test_known_sequences(self, m, expected):
-        assert faulhaber_coefficients(m) == expected
 
 
 class TestOddBernoulli:

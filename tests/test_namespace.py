@@ -12,7 +12,7 @@ HOMES = {
     "exact_arith": ("Rational", "as_rational"),
     "faulhaber": (
         "BernoulliTable", "FaulhaberForm", "VerificationReport", "bernoulli", "check_odd_bernoulli",
-        "faulhaber_coefficients", "infer_odd_bernoulli", "power_sum_direct", "power_sum_poly_n", "power_sum_tform", "telescoping_check",
+        "infer_odd_bernoulli", "power_sum_direct", "power_sum_poly_n", "power_sum_tform", "telescoping_check",
         "verify_faulhaber", "verify_pascal_identity",
     ),
     "polynomial": ("Polynomial", "monomial", "poly_combination", "poly_eval", "poly_from_numerators", "poly_scale",

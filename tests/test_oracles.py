@@ -102,14 +102,17 @@ def test_the_cli_serves_the_largest_pinned_form(cli, argv):
 
 def test_every_served_bernoulli_number_satisfies_the_recurrence_mod_p(bernoulli_served_max):
     # sum_{k<=n} C(n+1, k) B_k = 0 for n >= 1, in Z/p with a rolling row of
-    # C(n+1, k) mod p.  p > bernoulli_served_max + 1, so every denominator,
-    # a product of primes <= k + 1 (von Staudt-Clausen), is invertible.
-    p = 2**61 - 1
-    residues = [b.numerator * pow(b.denominator, -1, p) % p for b in map(bernoulli, range(bernoulli_served_max + 1))]
-    row = [1, 1]
-    for n in range(1, bernoulli_served_max + 1):
-        row = [1, *((a + b) % p for a, b in zip(row, row[1:])), 1]
-        assert sum(map(operator.mul, row, residues[: n + 1])) % p == 0, n
+    # C(n+1, k) mod p, for two primes: a wrong B_n escapes only if its
+    # error's numerator is divisible by both.  Each p > bernoulli_served_max
+    # + 1, so every denominator, a product of primes <= k + 1
+    # (von Staudt-Clausen), is invertible.
+    values = [bernoulli(k) for k in range(bernoulli_served_max + 1)]
+    for p in (2**61 - 1, 2**31 - 1):
+        residues = [b.numerator * pow(b.denominator, -1, p) % p for b in values]
+        row = [1, 1]
+        for n in range(1, bernoulli_served_max + 1):
+            row = [1, *((a + b) % p for a, b in zip(row, row[1:])), 1]
+            assert sum(map(operator.mul, row, residues[: n + 1])) % p == 0, (p, n)
 
 
 def test_every_served_even_bernoulli_number_satisfies_von_staudt_clausen(bernoulli_served_max):
