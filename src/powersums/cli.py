@@ -100,8 +100,8 @@ class _Parser(argparse.ArgumentParser):
         raise _ParserExit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
-def _uint(minimum: int, maximum: int | None = None):
-    """argparse type for a nonnegative decimal integer with a lower bound and an optional upper one.
+def _uint(minimum: int, maximum: int):
+    """argparse type for a decimal integer from ``minimum`` to ``maximum``.
 
     Only ASCII digits 0-9: no sign, ``_`` or space, which ``int`` takes,
     and no digits of other scripts, which ``str.isdecimal`` takes.
@@ -114,12 +114,12 @@ def _uint(minimum: int, maximum: int | None = None):
         if not (text.isascii() and text.isdecimal()):
             raise argparse.ArgumentTypeError(f"expected a nonnegative decimal integer, got {text!r}")
         digits = text.lstrip("0") or "0"
-        if maximum is not None and len(digits) > len(str(maximum)):
+        if len(digits) > len(str(maximum)):
             raise argparse.ArgumentTypeError(f"must be at most {maximum}, got a {len(digits)}-digit number")
         value = int(digits)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        if maximum is not None and value > maximum:
+        if value > maximum:
             raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
@@ -136,7 +136,7 @@ def _polynomial(poly) -> dict[str, object]:
     return {"var": poly.var, "coefficients": [_rational(c) for c in poly.coeffs]}
 
 
-# The input envelope: the largest value of each bounded argument, so that
+# The input envelope: the largest value of each integer argument, so that
 # every request finishes in seconds (cold, 2 vCPU) and a larger one is a
 # usage error before anything is computed.  ``_FORM_MAX`` is the largest
 # T-form index M that ``tform``, ``coeffs`` and ``powersum --basis t``
@@ -144,10 +144,11 @@ def _polynomial(poly) -> dict[str, object]:
 # ``tform 300`` builds every lower form by ladder elimination, the cost
 # grows as M^3, and a huge M exhausts memory on 2**M.  Tier-1 pins every
 # form up to it against Jacobi's recurrence.  ``_BERNOULLI_MAX`` is the
-# largest K of ``bernoulli`` and M of ``powersum``, which both read
-# B_0..B_K; the table's cost grows about as K^3.  Tier-1 rechecks every
-# B_n up to it.  ``verify telescoping`` takes ``--max-m`` up to 50 and
-# ``--max-n`` up to 200.
+# largest K of ``bernoulli`` and M of ``powersum`` and ``eval``, which all
+# read B_0..B_K; the table's cost grows about as K^3.  Tier-1 rechecks
+# every B_n up to it.  ``verify telescoping`` takes ``--max-m`` up to 50
+# and ``--max-n`` up to 200, and ``eval`` takes N up to 10000, one bound
+# for every M: its direct sum of N terms n^M costs most at M = 3000.
 _FORM_MAX = 300
 _BERNOULLI_MAX = 3000
 
@@ -200,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"telescoping only: largest upper limit N (default {telescoping.defaults['max_n']})")
 
     p_eval = add("eval", "evaluate S_M at N both symbolically and by direct summation", _cmd_eval)
-    p_eval.add_argument("exponent", type=_uint(1), metavar="M", help="exponent, M >= 1")
-    p_eval.add_argument("n", type=_uint(0), metavar="N", help="upper summation limit, N >= 0")
+    p_eval.add_argument("exponent", type=_uint(1, _BERNOULLI_MAX), metavar="M", help="exponent, M >= 1")
+    p_eval.add_argument("n", type=_uint(0, 10000), metavar="N", help="upper summation limit, N >= 0")
 
     return parser
 

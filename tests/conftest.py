@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from powersums.cli import _BERNOULLI_MAX, run
+from powersums.cli import run
 
 # Exact rational arithmetic makes some examples slow out of proportion to
 # their value count; wall-clock deadlines only add flakiness here.
@@ -36,17 +36,6 @@ def _subprocess_env() -> dict:
 
 
 @pytest.fixture
-def bernoulli_served_max():
-    """The largest Bernoulli index the CLI serves, ``cli._BERNOULLI_MAX``, past the default int-to-str digit limit.
-
-    B_2064 is the first value past 4300 digits.  ``tests/test_oracles.py``
-    rechecks every B_n up to this bound, so raising the limit raises the
-    recheck too.
-    """
-    return _BERNOULLI_MAX
-
-
-@pytest.fixture
 def redirected():
     """Run ``python *args`` with its streams redirected by the shell, as in ``>&-``; returns CompletedProcess.
 
@@ -69,9 +58,8 @@ def redirected():
     return invoke
 
 
-@pytest.fixture
-def popen():
-    """Start ``python *args`` with piped stdout and, unless ``stderr`` names another file, stderr; returns the Popen."""
+def _starter():
+    """Yield a function that starts ``python *args`` children; kill what is still running after."""
     started = []
 
     def start(*args: str, stderr=subprocess.PIPE):
@@ -91,3 +79,15 @@ def popen():
             proc.wait(timeout=10)
         for stream in filter(None, (proc.stdout, proc.stderr)):
             stream.close()
+
+
+@pytest.fixture
+def popen():
+    """Start ``python *args`` with piped stdout and, unless ``stderr`` names another file, stderr; returns the Popen."""
+    yield from _starter()
+
+
+@pytest.fixture(scope="class")
+def class_popen():
+    """``popen`` whose children live until the test class ends, so that one test can read what another started."""
+    yield from _starter()

@@ -15,10 +15,12 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import powersums.cli
 import powersums.faulhaber
-from powersums.cli import SUITES
+from powersums.cli import _BERNOULLI_MAX, SUITES
 from powersums.faulhaber import (
     VerificationReport,
     bernoulli,
@@ -129,6 +131,27 @@ _BROKEN_CHECKS = {
     "telescoping": ("telescoping_check", lambda m, n: _FAILED),
 }
 
+# Cheap stand-ins of the right types for every public function a command
+# computes with: any request inside the envelope then runs in milliseconds,
+# and every verification instance fails.
+CHEAP = {
+    "bernoulli": lambda k: Fraction(-1, 2),
+    "power_sum_poly_n": lambda m: Polynomial((0, 1), "n"),
+    "power_sum_direct": lambda m, n: n,
+    "power_sum_tform": lambda m: power_sum_tform(1),
+    "verify_pascal_identity": lambda m: _FAILED,
+    "verify_faulhaber": lambda m: _FAILED,
+    "check_odd_bernoulli": lambda m: False,
+    "telescoping_check": lambda m, n: _FAILED,
+}
+
+# Every command with each of its integer positions as a {}.
+ARGV_SHAPES = (
+    "bernoulli {}", "powersum {}", "powersum {} --basis t", "tform {}", "coeffs {}",
+    "verify pascal --max {}", "verify faulhaber --max {}", "verify odd-bernoulli --max {}",
+    "verify telescoping --max-m {} --max-n {}", "eval {} {}",
+)
+
 # For each suite: the bounds of a small sweep, in registry order, and the
 # labels `verify` prints for it, the first at the suite's first index.
 SMALL_SWEEPS = {
@@ -195,12 +218,12 @@ def test_bounds_default_to_the_registry(cli, monkeypatch, name):
     assert list(json.loads(out).items())[2:-4] == list(SUITES[name].defaults.items())
 
 
-# Every bounded argument: its argv, its largest value, the step to the
+# Every integer argument: its argv, its largest value, the step to the
 # next value it reads, the argument's own maximum (which refuses a value
-# with more digits than it has before converting it), and the faulhaber
-# function that a request computes.  That the T-form limits are served for
-# real is tested in tests/test_oracles.py, beside the pin of every form,
-# and ``bernoulli`` at its limit by TestProcessEntryPoint.
+# with more digits than it has before converting it), and the public
+# functions that a request computes with.  That the T-form limits are
+# served for real is tested in tests/test_oracles.py, beside the pin of
+# every form, and ``bernoulli`` at its limit by TestProcessEntryPoint.
 LIMITS = {
     "bernoulli": ("bernoulli {}", 3000, 1, 3000, "bernoulli"),
     "powersum": ("powersum {}", 3000, 1, 3000, "power_sum_poly_n"),
@@ -210,6 +233,8 @@ LIMITS = {
     "verify-max": ("verify pascal --max {}", 300, 1, 300, "verify_pascal_identity"),
     "verify-max-m": ("verify telescoping --max-m {}", 50, 1, 50, "telescoping_check"),
     "verify-max-n": ("verify telescoping --max-n {}", 200, 1, 200, "telescoping_check"),
+    "eval-m": ("eval {} 1", 3000, 1, 3000, "power_sum_poly_n poly_eval power_sum_direct"),
+    "eval-n": ("eval 1 {}", 10000, 1, 10000, "power_sum_poly_n poly_eval power_sum_direct"),
 }
 
 
@@ -257,14 +282,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, limit, step, cap, computes", LIMITS.values(), ids=LIMITS)
     def test_past_the_limit_is_refused_before_computing(self, cli, monkeypatch, argv, limit, step, cap, computes):
         # One cheap stand-in serves every command's text: a passing report,
-        # a form without coefficients, or a value.
+        # a form without coefficients, or a value (eval's two are equal).
+        # It replaces each function in its home module, which the CLI reads.
         calls = []
 
         def stand_in(*indices):
             calls.append(indices)
             return SimpleNamespace(holds=True, m=1, p=SimpleNamespace(coeffs=()))
 
-        monkeypatch.setattr(powersums.faulhaber, computes, stand_in)
+        for name in computes.split():
+            monkeypatch.setattr(f"powersums.{powersums._HOME[name]}.{name}", stand_in)
         assert cli(*argv.format(limit).split())[0] == 0
         assert calls
         calls.clear()
@@ -277,6 +304,27 @@ class TestExitCodes:
             assert (code, out, calls) == (2, "", []), len(text)
             assert err.endswith(f": must be at most {cap}, got a {len(text)}-digit number\n"), len(text)
             assert text not in err
+
+    def test_every_argv_exits_0_1_or_2(self, monkeypatch):
+        # Integers up to 10**20 in every position, half of them drawn within
+        # the largest limit, as text and as JSON: a refusal (2) writes
+        # nothing to stdout.  The stand-ins keep admitted requests cheap, so
+        # this covers parsing, validation and rendering; the goldens cover
+        # the values.
+        for name, stand_in in CHEAP.items():
+            monkeypatch.setattr(f"powersums.{powersums._HOME[name]}.{name}", stand_in)
+        number = st.integers(0, 10**20) | st.integers(0, 10000)
+
+        @settings(max_examples=300)
+        @given(st.sampled_from(ARGV_SHAPES), st.lists(number, min_size=2, max_size=2), st.booleans())
+        def exits_0_1_or_2(shape, numbers, as_json):
+            argv = shape.format(*numbers).split() + ["--format", "json"] * as_json
+            out, err = io.StringIO(), io.StringIO()
+            code = powersums.cli.run(argv, out, err)
+            assert code in (0, 1, 2)
+            assert code != 2 or out.getvalue() == ""
+
+        exits_0_1_or_2()
 
     def test_verify_flag_mismatches(self, cli):
         assert cli("verify", "telescoping", "--max", "5")[0] == 2
@@ -641,11 +689,20 @@ class TestProcessEntryPoint:
         coefficient = json.loads(out)["polynomial"]["coefficients"][0]
         assert coefficient == {"num": "1" + "0" * 5000, "den": "1"}
 
+    @pytest.fixture(scope="class")
+    def bernoulli_children(self, class_popen):
+        # B_2064 is the first value past 4300 digits.  Both children start
+        # before either case reads one, so the two cold tables overlap.
+        return {
+            fmt: class_popen("-m", "powersums", "--format", fmt, "bernoulli", str(_BERNOULLI_MAX))
+            for fmt in ("text", "json")
+        }
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_bernoulli_past_the_default_digit_limit(self, popen, bernoulli_served_max, fmt):
-        top = bernoulli_served_max
-        proc = popen("-m", "powersums", "--format", fmt, "bernoulli", str(top))
-        last = bernoulli(top)  # built here while the child builds its own table
+    def test_bernoulli_past_the_default_digit_limit(self, bernoulli_children, fmt):
+        top = _BERNOULLI_MAX
+        proc = bernoulli_children[fmt]
+        last = bernoulli(top)  # built here while the children build their own tables
         out, err = proc.communicate(timeout=300)
         assert (proc.returncode, err) == (0, b"")
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

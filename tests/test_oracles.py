@@ -16,7 +16,7 @@ from math import isqrt
 
 import pytest
 
-from powersums.cli import _FORM_MAX
+from powersums.cli import _BERNOULLI_MAX, _FORM_MAX
 from powersums.faulhaber import bernoulli, power_sum_poly_n, power_sum_tform
 from powersums.polynomial import monomial, t_to_n
 
@@ -100,26 +100,26 @@ def test_the_cli_serves_the_largest_pinned_form(cli, argv):
     assert out.count("\n") == 1
 
 
-def test_every_served_bernoulli_number_satisfies_the_recurrence_mod_p(bernoulli_served_max):
+def test_every_served_bernoulli_number_satisfies_the_recurrence_mod_p():
     # sum_{k<=n} C(n+1, k) B_k = 0 for n >= 1, in Z/p with a rolling row of
     # C(n+1, k) mod p, for two primes: a wrong B_n escapes only if its
-    # error's numerator is divisible by both.  Each p > bernoulli_served_max
-    # + 1, so every denominator, a product of primes <= k + 1
-    # (von Staudt-Clausen), is invertible.
-    values = [bernoulli(k) for k in range(bernoulli_served_max + 1)]
+    # error's numerator is divisible by both.  Each p > _BERNOULLI_MAX + 1,
+    # so every denominator, a product of primes <= k + 1 (von
+    # Staudt-Clausen), is invertible.
+    values = [bernoulli(k) for k in range(_BERNOULLI_MAX + 1)]
     for p in (2**61 - 1, 2**31 - 1):
         residues = [b.numerator * pow(b.denominator, -1, p) % p for b in values]
         row = [1, 1]
-        for n in range(1, bernoulli_served_max + 1):
+        for n in range(1, _BERNOULLI_MAX + 1):
             row = [1, *((a + b) % p for a, b in zip(row, row[1:])), 1]
             assert sum(map(operator.mul, row, residues[: n + 1])) % p == 0, (p, n)
 
 
-def test_every_served_even_bernoulli_number_satisfies_von_staudt_clausen(bernoulli_served_max):
+def test_every_served_even_bernoulli_number_satisfies_von_staudt_clausen():
     # von Staudt (J. reine angew. Math. 21, 1840) and Clausen (Astron.
     # Nachr. 17, 1840): for even n >= 2, B_n + sum of 1/p over the primes p
     # with (p - 1) | n is an integer.  So every served even denominator is
     # checked exactly, and by no recurrence.
-    primes = [p for p in range(2, bernoulli_served_max + 2) if all(p % q for q in range(2, isqrt(p) + 1))]
-    for n in range(2, bernoulli_served_max + 1, 2):
+    primes = [p for p in range(2, _BERNOULLI_MAX + 2) if all(p % q for q in range(2, isqrt(p) + 1))]
+    for n in range(2, _BERNOULLI_MAX + 1, 2):
         assert (bernoulli(n) + sum(Fraction(1, p) for p in primes if n % (p - 1) == 0)).denominator == 1, n
