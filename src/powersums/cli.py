@@ -1,22 +1,27 @@
 """Command-line front-end: computation and verification as subcommands.
 
-Each command handler is attached to its subparser.  When called, it
-reads the functions it runs from the lazy ``powersums`` namespace, which
-loads their layers, computes once and returns its result: an exit
+Each command handler is attached to its subparser, and ``run`` parses
+the arguments and calls it.  A handler first refuses a combination of
+arguments that does not fit (``powersum --basis t`` with an even M, or
+another suite's bound option for ``verify``) as a usage error, exit 2,
+through the root parser's ``error``, before it computes anything.  Then
+it reads the functions it runs from the lazy ``powersums`` namespace,
+which loads their layers, computes once and returns its result: an exit
 code, a function that builds the JSON payload from JSON-ready records,
 and the text lines.  ``run`` is the only writer of a call and
 renders that result as text or as JSON.  Its parser prints nothing
 either: help and usage errors come back as text (``_ParserExit``),
-which ``run`` writes to the call's own sinks.  ``run`` writes to no
-stream but the two sinks its caller passes (it never names
-``sys.stdout`` or ``sys.stderr``), so concurrent calls need no lock.
-This module itself imports no arithmetic, so ``--help`` and usage errors
-load none.  Output is deterministic byte-for-byte.  Text tables are
-tab-separated; polynomials use the display grammar of the polynomial
-module.  With ``--format json`` every rational is emitted as a
-two-field record of decimal strings (``{"num": ..., "den": ...}``) --
-never as a float, because the coefficients outgrow 64-bit range almost
-immediately.
+which ``run`` writes to the call's own sinks.  A usage error keeps the
+two ends of an over-long message, so a huge refused argument is not
+echoed whole.  ``run`` writes to no stream but the two sinks its caller
+passes (it never names ``sys.stdout`` or ``sys.stderr``), so concurrent
+calls need no lock.  This module itself imports no arithmetic, so
+``--help`` and usage errors load none.  Output is deterministic
+byte-for-byte.  Text tables are tab-separated; polynomials use the
+display grammar of the polynomial module.  With ``--format json`` every
+rational is emitted as a two-field record of decimal strings
+(``{"num": ..., "den": ...}``) -- never as a float, because the
+coefficients outgrow 64-bit range almost immediately.
 
 Exit codes: 0 on success with all verifications passing, 1 if any
 verification instance fails, 2 on usage or parse errors (which print a
@@ -97,6 +102,8 @@ class _Parser(argparse.ArgumentParser):
         raise _ParserExit(0, self.format_help())
 
     def error(self, message: str) -> None:
+        if len(message) > 200:  # it may echo an argument of any length
+            message = f"{message[:100]}...{message[-100:]}"
         raise _ParserExit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
@@ -166,11 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact power-sum polynomials, Bernoulli numbers, and T-basis forms.",
         parents=[output],
     )
+    # Each handler refuses a misfit combination through ``args.error``, as
+    # a usage error of the root parser.
+    parser.set_defaults(error=parser.error)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(
-        name: str, help_text: str, handler: Callable[[argparse.Namespace], _Result]
-    ) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler: Callable[[argparse.Namespace], _Result]) -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=help_text, description=help_text, parents=[output])
         command.set_defaults(handler=handler)
         return command
@@ -207,32 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Cross-field checks that argparse types cannot express; errors exit 2."""
-    if args.command == "powersum" and args.basis == "t":
-        if args.exponent < 3 or args.exponent % 2 == 0:
-            parser.error("--basis t requires an odd exponent M >= 3")
-        if args.exponent > 2 * _FORM_MAX + 1:
-            parser.error(f"--basis t requires M <= {2 * _FORM_MAX + 1}")
-    if args.command == "verify":
-        args.bounds = _suite_bounds(parser, args)
-
-
-def _suite_bounds(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict[str, int]:
-    """The suite's bounds from the registry, options over defaults; a misfit option exits 2."""
-    suite, given = SUITES[args.suite], vars(args)
-
-    def flags(keys: Iterable[str]) -> str:
-        return "/".join("--" + key.replace("_", "-") for key in keys)
-
-    foreign = [key for key in _BOUNDS if key not in suite.defaults]
-    if any(given[key] is not None for key in foreign):
-        parser.error(f"suite {args.suite!r} takes {flags(suite.defaults)}, not {flags(foreign)}")
-    if args.max is not None and args.max < suite.first:
-        parser.error(f"suite {args.suite!r} requires --max >= {suite.first}")
-    return {key: default if given[key] is None else given[key] for key, default in suite.defaults.items()}
-
-
 def _cmd_bernoulli(args: argparse.Namespace) -> _Result:
     bernoulli = powersums.bernoulli
     values = [bernoulli(i) for i in range(args.k + 1)]
@@ -245,6 +227,10 @@ def _cmd_powersum(args: argparse.Namespace) -> _Result:
     if args.basis == "n":
         poly = powersums.power_sum_poly_n(args.exponent)
         return 0, lambda: {"exponent": args.exponent, "basis": "n", "polynomial": _polynomial(poly)}, [poly]
+    if args.exponent < 3 or args.exponent % 2 == 0:
+        args.error("--basis t requires an odd exponent M >= 3")
+    if args.exponent > 2 * _FORM_MAX + 1:
+        args.error(f"--basis t requires M <= {2 * _FORM_MAX + 1}")
     form = powersums.power_sum_tform((args.exponent - 1) // 2)
     return 0, lambda: {
         "exponent": args.exponent, "basis": "t", "index": form.m, "p": _polynomial(form.p), "t_power": 2,
@@ -264,19 +250,30 @@ def _cmd_coeffs(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Result:
+    # The suite's bounds from the registry, options over defaults; another
+    # suite's bound option, or a --max below the first index, exits 2.
+    suite, given = SUITES[args.suite], vars(args)
+
+    def flags(keys: Iterable[str]) -> str:
+        return "/".join("--" + key.replace("_", "-") for key in keys)
+
+    foreign = [key for key in _BOUNDS if key not in suite.defaults]
+    if any(given[key] is not None for key in foreign):
+        args.error(f"suite {args.suite!r} takes {flags(suite.defaults)}, not {flags(foreign)}")
+    if args.max is not None and args.max < suite.first:
+        args.error(f"suite {args.suite!r} requires --max >= {suite.first}")
+    bounds = {key: default if given[key] is None else given[key] for key, default in suite.defaults.items()}
     # Every index from the suite's first to its bound; the first index
     # varies slowest, as in nested loops.  Each label is the suite name,
     # then m=<m>, then N=<n> for telescoping.
-    suite = SUITES[args.suite]
-    sweep = product(*[range(suite.first, top + 1) for top in args.bounds.values()])
+    sweep = product(*[range(suite.first, top + 1) for top in bounds.values()])
     results = [(" ".join([args.suite, *(f"{k}={i}" for k, i in zip("mN", ix))]), suite.check(*ix)) for ix in sweep]
-    passed = sum(1 for _, ok in results if ok)
-    total = len(results)
+    passed, total = sum(ok for _, ok in results), len(results)
     lines = [f"{'PASS' if ok else 'FAIL'} {label}" for label, ok in results]
     lines.append(f"{args.suite}: {passed}/{total} passed")
     return 0 if passed == total else 1, lambda: {
         "suite": args.suite,
-        **args.bounds,
+        **bounds,
         "results": [{"label": label, "holds": ok} for label, ok in results],
         "passed": passed,
         "total": total,
@@ -298,16 +295,14 @@ def _cmd_eval(args: argparse.Namespace) -> _Result:
 
 def run(argv: Iterable[str], out: TextIOBase, err: TextIOBase) -> int:
     """Parse and execute one invocation; render its result as text or JSON to ``out``, usage errors to ``err``."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
-        _validate(parser, args)
+        args = build_parser().parse_args(list(argv))
+        code, payload, lines = args.handler(args)
     except _ParserExit as exc:
         # Where argparse would write it: help to stdout, errors to stderr.
         code, text = exc.args
         (err if code else out).write(text)
         return code
-    code, payload, lines = args.handler(args)
     if getattr(args, "format", "text") == "json":
         import json  # only JSON output pays for loading the encoder
 

@@ -237,6 +237,16 @@ LIMITS = {
     "eval-n": ("eval 1 {}", 10000, 1, 10000, "power_sum_poly_n poly_eval power_sum_direct"),
 }
 
+# Argument combinations that a handler refuses before computing, each with
+# a neighbour that it serves.
+MISFITS = {
+    "powersum 4 --basis t": "powersum 5 --basis t",
+    "powersum 1 --basis t": "powersum 3 --basis t",
+    "verify pascal --max 1": "verify pascal --max 2",
+    "verify telescoping --max 3": "verify telescoping --max-m 3",
+    "verify pascal --max-m 2": "verify pascal --max 2",
+}
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, cli):
@@ -325,6 +335,33 @@ class TestExitCodes:
             assert code != 2 or out.getvalue() == ""
 
         exits_0_1_or_2()
+
+    @pytest.mark.parametrize("misfit, neighbour", MISFITS.items(), ids=MISFITS)
+    def test_a_misfit_combination_computes_nothing(self, cli, monkeypatch, misfit, neighbour):
+        # Every function a command computes with, patched in its home
+        # module, records its call; the neighbour shows that it is the one
+        # the CLI reads.
+        calls = []
+
+        def recording(stand_in):
+            return lambda *indices: calls.append(indices) or stand_in(*indices)
+
+        for name, stand_in in CHEAP.items():
+            monkeypatch.setattr(f"powersums.{powersums._HOME[name]}.{name}", recording(stand_in))
+        assert cli(*neighbour.split())[0] in (0, 1)
+        assert calls
+        calls.clear()
+        code, out, err = cli(*misfit.split())
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("usage: powersums [-h]")
+
+    @pytest.mark.parametrize("argv", ["tform {}", "{}", "bernoulli 5 {}", "--format {} bernoulli 5", "verify {}"])
+    def test_a_huge_refused_argument_is_not_echoed(self, cli, argv):
+        # argparse's own messages and ``_uint``'s quote the argument; the
+        # parser keeps the two ends of such a message.
+        code, out, err = cli(*argv.format("x" * 120000).split())
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 1024
 
     def test_verify_flag_mismatches(self, cli):
         assert cli("verify", "telescoping", "--max", "5")[0] == 2
