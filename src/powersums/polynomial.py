@@ -12,12 +12,14 @@ ascending tuple of Fractions.
 
 Every polynomial is built by ``_canonical``, the one function that
 turns an int layout into a ``Polynomial``, so ``==`` and ``hash`` may
-compare layouts.  The constructor brings rational coefficients over
-their lcm first; ``monomial`` and ``poly_from_numerators`` pass one term
-or int numerators.  The arithmetic has two kernels: the convolution in
-``*``, and ``poly_combination``, the integer linear combination
-(sum of c_i * p_i) / d -- one lcm, int accumulation, one gcd pass --
-which ``+``, ``-``, unary ``-`` and ``poly_scale`` each are.
+compare layouts.  ``Polynomial(coeffs, var)`` brings the rational
+coefficients over their lcm in ``__init__`` and hands that layout, with
+the instance itself, to ``_canonical``; every other builder gets a new
+instance from it.  ``monomial`` and ``poly_from_numerators`` pass one
+term or int numerators.  The arithmetic has two kernels: the
+convolution in ``*``, and ``poly_combination``, the integer linear
+combination (sum of c_i * p_i) / d -- one lcm, int accumulation, one
+gcd pass -- which ``+``, ``-``, unary ``-`` and ``poly_scale`` each are.
 
 Every polynomial carries a variable tag, ``"n"`` or ``"T"``: the first
 is the summation limit of a power sum, the second the triangular number
@@ -38,7 +40,12 @@ safe.  ``Polynomial`` takes ``==`` and ``hash`` by its fields from
 
 Display order is highest degree first, e.g. ``1/4*n^4 + 1/2*n^3 +
 1/4*n^2``; this exact grammar is what the CLI prints and what golden
-tests pin down.
+tests pin down.  Each nonzero coefficient prints as its sign and then
+its magnitude, ``str()`` of a reduced ``Rational``: the ``p/q`` grammar
+of ``exact_arith``, with ``/q`` omitted when q == 1, in which the CLI
+prints every rational as text.  A magnitude of 1 is left off before
+the variable, the exponent 1 is left off, and the constant term has no
+variable.
 """
 
 from __future__ import annotations
@@ -61,14 +68,11 @@ class Polynomial(_Record):
 
     __slots__ = ("_nums", "_den", "var")
 
-    def __new__(cls, coeffs: Iterable[int | str | Rational], var: str) -> "Polynomial":
+    def __init__(self, coeffs: Iterable[int | str | Rational], var: str) -> None:
         _check_var(var)
         rationals = [as_rational(c) for c in coeffs]
         den = lcm(*[q.denominator for q in rationals])
-        return _canonical([q.numerator * (den // q.denominator) for q in rationals], den, var)
-
-    def __init__(self, coeffs: Iterable[int | str | Rational], var: str) -> None:
-        """Nothing left to set: ``__new__`` built the instance through ``_canonical``."""
+        _canonical([q.numerator * (den // q.denominator) for q in rationals], den, var, self)
 
     def __reduce__(self):
         return Polynomial, (self.coeffs, self.var)
@@ -128,27 +132,19 @@ class Polynomial(_Record):
         return result
 
     def __str__(self) -> str:
-        nums, den = self._nums, self._den
-        if not nums:
+        if not self._nums:
             return "0"
-        parts = []
-        for deg in range(len(nums) - 1, -1, -1):
-            c = nums[deg]
-            if not c:
-                continue
-            g = gcd(c, den)
-            magnitude = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
-            if deg == 0:
-                body = magnitude
-            else:
-                head = "" if magnitude == "1" else f"{magnitude}*"
-                power = self.var if deg == 1 else f"{self.var}^{deg}"
-                body = head + power
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        terms = []
+        for deg in range(self.degree, -1, -1):
+            if c := self._nums[deg]:
+                body = str(Rational(abs(c), self._den))
+                if deg:
+                    power = self.var if deg == 1 else f"{self.var}^{deg}"
+                    body = power if body == "1" else f"{body}*{power}"
+                terms.append(("+ " if c > 0 else "- ") + body)
+        # Every term opens with "+ " or "- "; the first keeps only a "-".
+        text = " ".join(terms)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def _check_var(var: str, *operands: Polynomial) -> None:
@@ -160,11 +156,13 @@ def _check_var(var: str, *operands: Polynomial) -> None:
             raise ValueError(f"variable mismatch: {var!r} vs {p.var!r}")
 
 
-def _canonical(nums: list[int], den: int, var: str) -> Polynomial:
+def _canonical(nums: list[int], den: int, var: str, p: Polynomial | None = None) -> Polynomial:
     """The polynomial sum of (nums[i] / den) * var**i, for den > 0, in canonical layout.
 
     Strips trailing zeros and divides out the common factor of den and
-    nums.  Every polynomial is built here, so every layout is canonical.
+    nums.  Every polynomial is built here, so every layout is canonical:
+    the constructor passes its own instance as p, and every other builder
+    gets a new one.
     """
     while nums and not nums[-1]:
         nums.pop()
@@ -172,7 +170,8 @@ def _canonical(nums: list[int], den: int, var: str) -> Polynomial:
     if g != 1:
         nums = [c // g for c in nums]
         den //= g
-    p = object.__new__(Polynomial)
+    if p is None:
+        p = object.__new__(Polynomial)
     _Record.__init__(p, tuple(nums), den, var)
     return p
 

@@ -4,11 +4,12 @@ import copy
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from powersums.polynomial import (
@@ -224,6 +225,43 @@ class TestRendering:
     )
     def test_display_grammar(self, poly, text):
         assert str(poly) == text
+
+    # One term of the display grammar: a bare magnitude (degree 0), or an
+    # optional "magnitude*" before the variable and an optional "^k", k >= 2
+    # written without leading zeros.
+    TERM = re.compile(r"(?P<const>[1-9][0-9]*(?:/[0-9]+)?)"
+                      r"|(?:(?P<coef>[1-9][0-9]*(?:/[0-9]+)?)\*)?(?P<var>[nT])(?:\^(?P<exp>[2-9]|[1-9][0-9]+))?")
+
+    @example((), "n")
+    @example((0, 0, 0), "T")
+    @given(
+        st.lists(st.sampled_from((0, 1, -1)) | st.integers(-(10**40), 10**40) | small_rationals
+                 | st.fractions(max_denominator=10**30), max_size=21),
+        st.sampled_from(("n", "T")),
+    )
+    def test_display_grammar_round_trips(self, coeffs, var):
+        p = Polynomial(coeffs, var)
+        text = str(p)
+        if not p.coeffs:
+            assert text == "0"
+            return
+        # "[-]t1 + t2 - t3 ...": the first term carries its sign, each later
+        # one an operator token; magnitudes contain no spaces.
+        tokens = text.split(" ")
+        assert len(tokens) % 2 == 1 and set(tokens[1::2]) <= {"+", "-"}
+        signs = [-1 if tokens[0].startswith("-") else 1] + [1 if op == "+" else -1 for op in tokens[1::2]]
+        terms = [tokens[0].removeprefix("-")] + tokens[2::2]
+        parsed = {}
+        for sign, term in zip(signs, terms):
+            m = self.TERM.fullmatch(term)
+            assert m, term
+            magnitude = m["const"] or m["coef"] or "1"
+            assert str(Fraction(magnitude)) == magnitude  # reduced, "/1" omitted
+            assert m["var"] in (None, var) and m["coef"] != "1"
+            deg = 0 if m["const"] else int(m["exp"] or 1)
+            assert deg not in parsed and all(deg < d for d in parsed)  # highest degree first
+            parsed[deg] = sign * Fraction(magnitude)
+        assert tuple(parsed.get(d, Fraction(0)) for d in range(max(parsed) + 1)) == p.coeffs
 
 
 # Reference arithmetic on plain ascending tuples of Fractions, the
